@@ -18,7 +18,7 @@ use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rollout::{collect_parallel, EnvSpec};
+use xrlflow_rollout::{collect_curriculum_parallel, Curriculum, EnvSpec};
 
 /// Records per timed batch for the primitive micro-benchmarks — large
 /// enough that loop overhead and the timer read vanish in the average.
@@ -78,10 +78,11 @@ fn main() {
     config.env.max_candidates = env_usize("XRLFLOW_MAX_CANDIDATES", config.env.max_candidates);
     let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
     let spec = EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone());
+    let single = Curriculum::new().with_entry("SqueezeNet", spec);
     let snapshot = XrlflowAgent::new(&config, 0).snapshot();
 
     let collect = || {
-        collect_parallel(&config, &snapshot, &spec, 0, episodes, 7, 1)
+        collect_curriculum_parallel(&config, &snapshot, &single, 0, episodes, 7, 1)
             .expect("snapshot matches the agent architecture")
             .buffer
             .len()

@@ -1,8 +1,9 @@
 //! Parallel rollout engine benchmark: episode-collection throughput
 //! (episodes/sec) at 1 vs N workers on SqueezeNet and BERT.
 //!
-//! Every worker count replays the identical per-episode seed schedule
-//! against snapshot-built agent replicas, so all configurations collect
+//! Single-model collection is a one-entry curriculum. Every worker count
+//! replays the identical per-episode seed schedule against snapshot-built
+//! agent replicas, so all configurations collect
 //! bit-identical transitions — the only thing that varies is wall-clock
 //! time. The speedup therefore measures pure engine scaling and is bounded
 //! by the hardware: expect ~1x on a single-core container and ~min(W, cores)
@@ -18,7 +19,7 @@ use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rollout::{collect_parallel, EnvSpec};
+use xrlflow_rollout::{collect_curriculum_parallel, Curriculum, EnvSpec};
 
 fn main() {
     let iters = iters_from_env(3);
@@ -34,6 +35,7 @@ fn main() {
     for kind in [ModelKind::SqueezeNet, ModelKind::Bert] {
         let graph = build_model(kind, ModelScale::Bench).unwrap();
         let spec = EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone());
+        let single = Curriculum::new().with_entry(kind.name(), spec);
         let agent = XrlflowAgent::new(&config, 0);
         let snapshot = agent.snapshot();
         println!("-- {}", kind.name());
@@ -41,7 +43,7 @@ fn main() {
         let mut eps_per_sec = Vec::new();
         for &workers in &worker_counts {
             let ns = time_ns(1, iters, || {
-                collect_parallel(&config, &snapshot, &spec, 0, episodes, 7, workers)
+                collect_curriculum_parallel(&config, &snapshot, &single, 0, episodes, 7, workers)
                     .expect("snapshot matches the agent architecture")
                     .buffer
                     .len()

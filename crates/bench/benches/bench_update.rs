@@ -19,7 +19,7 @@ use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rollout::{collect_serial, update_parallel, EnvSpec};
+use xrlflow_rollout::{collect_curriculum_serial, update_parallel, Curriculum, EnvSpec};
 
 fn main() {
     let iters = iters_from_env(3);
@@ -37,7 +37,8 @@ fn main() {
         let spec = EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone());
         let agent = XrlflowAgent::new(&config, 0);
         let snapshot = agent.snapshot();
-        let rollouts = collect_serial(&agent, &spec, 0, episodes, 7);
+        let single = Curriculum::new().with_entry(kind.name(), spec);
+        let rollouts = collect_curriculum_serial(&agent, &single, 0, episodes, 7);
         println!("-- {} ({} transitions/round)", kind.name(), rollouts.buffer.len());
 
         // The update consumes the buffer and advances agent + optimiser, so

@@ -5,9 +5,13 @@
 //! k = 5 GAT layers, update frequency 10, feedback frequency N = 5, MLP
 //! heads [256, 64] and batch size 16.
 
+use std::sync::Arc;
+
 use xrlflow_env::EnvConfig;
 use xrlflow_gnn::EncoderConfig;
 use xrlflow_rl::PpoHyperParams;
+
+use crate::fault::FaultPlan;
 
 /// Full configuration of the X-RLflow agent, environment and training loop.
 #[derive(Debug, Clone)]
@@ -31,6 +35,12 @@ pub struct XrlflowConfig {
     /// number. Overridable at run time via the `XRLFLOW_WORKERS` environment
     /// variable (see [`XrlflowConfig::effective_num_workers`]).
     pub num_workers: usize,
+    /// Deterministic fault-injection schedule tripped at the top of every
+    /// supervised work item (rollout collection and update) and every
+    /// serving episode that runs under this configuration. `None` (every
+    /// preset) injects nothing; tests share a plan through the `Arc` to
+    /// assert [`FaultPlan::pending`] afterwards.
+    pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl XrlflowConfig {
@@ -46,6 +56,7 @@ impl XrlflowConfig {
             env: EnvConfig::default(),
             training_episodes: 1000,
             num_workers: 1,
+            faults: None,
         }
     }
 
@@ -64,6 +75,7 @@ impl XrlflowConfig {
             env: EnvConfig { max_steps: 25, max_candidates: 32, ..EnvConfig::default() },
             training_episodes: 24,
             num_workers: 4,
+            faults: None,
         }
     }
 
@@ -82,6 +94,7 @@ impl XrlflowConfig {
             env: EnvConfig { max_steps: 4, max_candidates: 8, feedback_frequency: 2, ..EnvConfig::default() },
             training_episodes: 2,
             num_workers: 2,
+            faults: None,
         }
     }
 

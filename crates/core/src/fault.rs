@@ -1,41 +1,42 @@
 //! Deterministic fault injection for robustness tests.
 //!
 //! Production fault tolerance is only trustworthy if it is exercised, so the
-//! supervised worker pools (`xrlflow-rollout`) and the serving layer
-//! (`xrlflow-serve`) call [`trip`] at the top of every work item. The hook
-//! is compiled in unconditionally — the code under test is the code that
-//! ships — but it is **inert** unless a test installs a [`FaultPlan`]: the
-//! disarmed fast path is a single relaxed atomic load, cheap enough for the
-//! allocation-free hot loops.
+//! supervised worker pool (`xrlflow-rollout`) and the serving layer
+//! (`xrlflow-serve`) trip the [`FaultPlan`] carried by their
+//! [`XrlflowConfig::faults`](crate::XrlflowConfig::faults) at the top of
+//! every work item. The hook is compiled in unconditionally — the code under
+//! test is the code that ships — but with no plan configured (the default)
+//! it is a single `None` check.
 //!
 //! A plan is a deterministic schedule of one-shot panics ("panic on item `k`
 //! at attempt `a` of phase `p`"). Determinism matters: the differential
 //! suites assert that a run with injected faults produces **bit-identical**
 //! parameters to a fault-free run, which only makes sense when the faults
-//! themselves are reproducible.
+//! themselves are reproducible. A plan belongs to the configuration that
+//! carries it, so runs in the same process never trip each other's faults.
 //!
 //! ```
-//! use xrlflow_core::fault::{self, FaultPhase, FaultPlan};
+//! use xrlflow_core::fault::{FaultPhase, FaultPlan};
 //!
-//! let guard = FaultPlan::new().panic_on(FaultPhase::Collect, 3, 0).install();
-//! let caught = std::panic::catch_unwind(|| fault::trip(FaultPhase::Collect, 3, 0));
-//! assert!(caught.is_err(), "armed fault must panic");
+//! let plan = FaultPlan::new().panic_on(FaultPhase::Collect, 3, 0);
+//! let caught = std::panic::catch_unwind(|| plan.trip(FaultPhase::Collect, 3, 0));
+//! assert!(caught.is_err(), "a scheduled fault must panic");
 //! // One-shot: the same (phase, item, attempt) does not fire twice.
-//! fault::trip(FaultPhase::Collect, 3, 0);
-//! drop(guard); // disarms and clears the plan
+//! plan.trip(FaultPhase::Collect, 3, 0);
+//! assert_eq!(plan.pending(), 0);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// The phase of the system a scheduled fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPhase {
-    /// Single-spec episode collection (`collect_parallel` work items).
+    /// Episode collection; `item` is the rollout engine's
+    /// `curriculum_fault_item(spec, episode)` (the episode index for a
+    /// single-model run).
     Collect,
-    /// Curriculum episode collection (spec-major work items).
-    CurriculumCollect,
-    /// Data-parallel minibatch gradient shards.
+    /// Data-parallel minibatch gradient shards (`item` is the minibatch
+    /// position).
     Update,
     /// The greedy optimisation episode run by the serving layer's
     /// single-flight leader (`item` is the request graph's canonical hash).
@@ -46,7 +47,6 @@ impl std::fmt::Display for FaultPhase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FaultPhase::Collect => "collect",
-            FaultPhase::CurriculumCollect => "curriculum-collect",
             FaultPhase::Update => "update",
             FaultPhase::Serve => "serve",
         })
@@ -59,8 +59,8 @@ impl std::fmt::Display for FaultPhase {
 pub struct FaultSpec {
     /// Phase the fault targets.
     pub phase: FaultPhase,
-    /// Work-item index within the phase (episode, curriculum item,
-    /// minibatch position or request hash).
+    /// Work-item index within the phase (curriculum item, minibatch
+    /// position or request hash).
     pub item: u64,
     /// Attempt number at which to fire.
     pub attempt: u32,
@@ -68,53 +68,68 @@ pub struct FaultSpec {
 
 /// A deterministic schedule of injected panics.
 ///
-/// Each entry fires **once**: the first [`trip`] call matching its
-/// `(phase, item, attempt)` panics and consumes the entry. To make an item
-/// exhaust a retry budget of `n`, schedule entries for attempts `0..=n`.
+/// Each entry fires **once**: the first [`FaultPlan::trip`] call matching
+/// its `(phase, item, attempt)` panics and consumes the entry. To make an
+/// item exhaust a retry budget of `n`, schedule entries for attempts
+/// `0..=n`. Share a plan between the run under test and the assertions with
+/// an `Arc`, and put it in `XrlflowConfig::faults`.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    panics: Vec<FaultSpec>,
+    pending: Mutex<Vec<FaultSpec>>,
 }
 
 impl FaultPlan {
-    /// Creates an empty plan (installing it arms nothing but still
-    /// serialises against other installers).
+    /// Creates an empty plan.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Schedules a one-shot panic on `item` at `attempt` of `phase`.
     #[must_use]
-    pub fn panic_on(mut self, phase: FaultPhase, item: u64, attempt: u32) -> Self {
-        self.panics.push(FaultSpec { phase, item, attempt });
-        self
+    pub fn panic_on(self, phase: FaultPhase, item: u64, attempt: u32) -> Self {
+        self.schedule(phase, item, attempt..=attempt)
     }
 
     /// Schedules panics on every attempt `0..=budget` of `item`, so the
     /// supervised pool's retry budget of `budget` is exhausted and the
     /// caller observes the typed worker-fault error.
     #[must_use]
-    pub fn exhaust_budget_on(mut self, phase: FaultPhase, item: u64, budget: u32) -> Self {
-        for attempt in 0..=budget {
-            self.panics.push(FaultSpec { phase, item, attempt });
-        }
+    pub fn exhaust_budget_on(self, phase: FaultPhase, item: u64, budget: u32) -> Self {
+        self.schedule(phase, item, 0..=budget)
+    }
+
+    fn schedule(mut self, phase: FaultPhase, item: u64, attempts: std::ops::RangeInclusive<u32>) -> Self {
+        let pending = self.pending.get_mut().unwrap_or_else(PoisonError::into_inner);
+        pending.extend(attempts.map(|attempt| FaultSpec { phase, item, attempt }));
         self
     }
 
-    /// Installs the plan process-wide and arms the [`trip`] hook.
+    /// Fault-injection hook: panics iff this plan schedules a (not yet
+    /// fired) panic for this `(phase, item, attempt)`, consuming the entry.
     ///
-    /// Installation is exclusive: concurrent installers (tests running in
-    /// the same process) are serialised on an internal lock held by the
-    /// returned guard, and dropping the guard disarms the hook and clears
-    /// the plan. Keep the guard alive for the duration of the faulty run.
-    #[must_use]
-    pub fn install(self) -> FaultInjectionGuard {
-        static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-        let lock = INSTALL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        *plan_slot().lock().unwrap_or_else(PoisonError::into_inner) =
-            Some(self.panics.into_iter().map(|spec| (spec, false)).collect());
-        ARMED.store(true, Ordering::SeqCst);
-        FaultInjectionGuard { _lock: lock }
+    /// The panic payload is a `String` naming the phase, item and attempt,
+    /// which the supervised pool surfaces verbatim in a [`WorkerFault`].
+    ///
+    /// # Panics
+    ///
+    /// By design, when a scheduled entry matches.
+    pub fn trip(&self, phase: FaultPhase, item: u64, attempt: u32) {
+        let target = FaultSpec { phase, item, attempt };
+        let fired = {
+            let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+            pending.iter().position(|spec| *spec == target).map(|i| pending.remove(i))
+        };
+        if fired.is_some() {
+            panic!("injected fault: phase {phase} item {item} attempt {attempt}");
+        }
+    }
+
+    /// Number of scheduled faults that have not fired yet.
+    ///
+    /// Tests assert this drops to zero to prove every scheduled fault was
+    /// actually exercised by the run under test.
+    pub fn pending(&self) -> usize {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 }
 
@@ -164,119 +179,56 @@ pub fn panic_payload_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Keeps an installed [`FaultPlan`] armed; disarms and clears it on drop.
-pub struct FaultInjectionGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for FaultInjectionGuard {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        *plan_slot().lock().unwrap_or_else(PoisonError::into_inner) = None;
-    }
-}
-
-/// Fast-path arm flag: [`trip`] returns immediately when this is `false`,
-/// so the hook costs one relaxed load in production.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// Installed plan entries, each with a `fired` flag for one-shot semantics.
-fn plan_slot() -> &'static Mutex<Option<Vec<(FaultSpec, bool)>>> {
-    static PLAN: Mutex<Option<Vec<(FaultSpec, bool)>>> = Mutex::new(None);
-    &PLAN
-}
-
-/// Fault-injection hook: panics iff an installed [`FaultPlan`] schedules a
-/// (not yet fired) panic for this `(phase, item, attempt)`.
-///
-/// Inert — a single relaxed atomic load — unless a plan is installed. The
-/// panic payload is a `String` naming the phase, item and attempt, which the
-/// supervised pool surfaces verbatim in `RolloutError::WorkerFault`.
-///
-/// # Panics
-///
-/// By design, when an armed plan matches.
-pub fn trip(phase: FaultPhase, item: u64, attempt: u32) {
-    if !ARMED.load(Ordering::Relaxed) {
-        return;
-    }
-    let fire = {
-        let mut slot = plan_slot().lock().unwrap_or_else(PoisonError::into_inner);
-        match slot.as_mut() {
-            Some(entries) => entries
-                .iter_mut()
-                .find(|(spec, fired)| {
-                    !*fired && spec.phase == phase && spec.item == item && spec.attempt == attempt
-                })
-                .map(|entry| {
-                    entry.1 = true;
-                    entry.0
-                }),
-            None => None,
-        }
-    };
-    if let Some(spec) = fire {
-        panic!("injected fault: phase {} item {} attempt {}", spec.phase, spec.item, spec.attempt);
-    }
-}
-
-/// Number of scheduled faults that have not fired yet (0 when disarmed).
-///
-/// Tests assert this drops to zero to prove every scheduled fault was
-/// actually exercised by the run under test.
-pub fn pending_faults() -> usize {
-    if !ARMED.load(Ordering::Relaxed) {
-        return 0;
-    }
-    plan_slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .as_ref()
-        .map_or(0, |entries| entries.iter().filter(|(_, fired)| !fired).count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn disarmed_hook_is_inert() {
-        trip(FaultPhase::Collect, 0, 0);
-        trip(FaultPhase::Update, u64::MAX, u32::MAX);
-        assert_eq!(pending_faults(), 0);
+    fn an_empty_plan_is_inert() {
+        let plan = FaultPlan::new();
+        plan.trip(FaultPhase::Collect, 0, 0);
+        plan.trip(FaultPhase::Update, u64::MAX, u32::MAX);
+        assert_eq!(plan.pending(), 0);
     }
 
     #[test]
-    fn armed_faults_fire_once_with_a_descriptive_payload() {
-        let guard = FaultPlan::new().panic_on(FaultPhase::Collect, 7, 1).install();
-        assert_eq!(pending_faults(), 1);
+    fn scheduled_faults_fire_once_with_a_descriptive_payload() {
+        let plan = FaultPlan::new().panic_on(FaultPhase::Collect, 7, 1);
+        assert_eq!(plan.pending(), 1);
         // Wrong item / attempt / phase: no fire.
-        trip(FaultPhase::Collect, 7, 0);
-        trip(FaultPhase::Collect, 6, 1);
-        trip(FaultPhase::Update, 7, 1);
-        assert_eq!(pending_faults(), 1);
+        plan.trip(FaultPhase::Collect, 7, 0);
+        plan.trip(FaultPhase::Collect, 6, 1);
+        plan.trip(FaultPhase::Update, 7, 1);
+        assert_eq!(plan.pending(), 1);
 
-        let payload = catch_unwind(AssertUnwindSafe(|| trip(FaultPhase::Collect, 7, 1)))
+        let payload = catch_unwind(AssertUnwindSafe(|| plan.trip(FaultPhase::Collect, 7, 1)))
             .expect_err("scheduled fault must panic");
         let text = payload.downcast_ref::<String>().expect("payload is a String");
         assert_eq!(text, "injected fault: phase collect item 7 attempt 1");
 
         // One-shot: consumed.
-        assert_eq!(pending_faults(), 0);
-        trip(FaultPhase::Collect, 7, 1);
-        drop(guard);
-        assert_eq!(pending_faults(), 0);
+        assert_eq!(plan.pending(), 0);
+        plan.trip(FaultPhase::Collect, 7, 1);
     }
 
     #[test]
     fn exhaust_budget_schedules_every_attempt() {
-        let guard = FaultPlan::new().exhaust_budget_on(FaultPhase::Update, 2, 2).install();
-        assert_eq!(pending_faults(), 3);
+        let plan = FaultPlan::new().exhaust_budget_on(FaultPhase::Update, 2, 2);
+        assert_eq!(plan.pending(), 3);
         for attempt in 0..=2 {
-            assert!(catch_unwind(AssertUnwindSafe(|| trip(FaultPhase::Update, 2, attempt))).is_err());
+            assert!(catch_unwind(AssertUnwindSafe(|| plan.trip(FaultPhase::Update, 2, attempt))).is_err());
         }
-        assert_eq!(pending_faults(), 0);
-        drop(guard);
+        assert_eq!(plan.pending(), 0);
+    }
+
+    #[test]
+    fn plans_are_independent_values() {
+        // Two plans scheduling the same fault never consume each other's
+        // entries: the fault belongs to the configuration that carries it.
+        let a = FaultPlan::new().panic_on(FaultPhase::Serve, 1, 0);
+        let b = FaultPlan::new().panic_on(FaultPhase::Serve, 1, 0);
+        assert!(catch_unwind(AssertUnwindSafe(|| a.trip(FaultPhase::Serve, 1, 0))).is_err());
+        assert_eq!((a.pending(), b.pending()), (0, 1));
     }
 }

@@ -24,7 +24,7 @@
 //! evaluated which transition — the property the data-parallel update engine
 //! in `xrlflow-rollout` builds on ([`Trainer::update_with_segments_via`]
 //! accepts the evaluator; [`minibatch_grads_serial`] is the retained serial
-//! oracle, same spirit as `collect_serial` / `policy_logits_serial`).
+//! oracle, same spirit as `collect_curriculum_serial` / `policy_logits_serial`).
 
 use std::path::Path;
 use std::time::Instant;
@@ -132,7 +132,9 @@ pub struct TrainReport {
     /// [`TrainReport::updates`].
     pub timings: Vec<UpdateTiming>,
     /// Per-model reward/latency-reduction breakdowns, one entry per
-    /// curriculum model in curriculum order. Empty for single-model runs.
+    /// curriculum model in curriculum order (a single-model rollout-engine
+    /// run is a one-entry curriculum, so it has one). Empty only for the
+    /// serial [`Trainer::train`] loop.
     pub per_model: Vec<ModelBreakdown>,
 }
 
@@ -343,7 +345,7 @@ pub fn transition_grad_into(
 /// minibatch-position order.
 ///
 /// This is the differential-testing oracle for the data-parallel evaluator
-/// in `xrlflow-rollout` (same spirit as `collect_serial`): sharding the same
+/// in `xrlflow-rollout` (same spirit as `collect_curriculum_serial`): sharding the same
 /// batch across any number of workers and merging per-position buffers in
 /// position order must reproduce this function's output bit for bit.
 pub fn minibatch_grads_serial(agent: &XrlflowAgent, ctx: &MinibatchContext) -> MinibatchGrads {

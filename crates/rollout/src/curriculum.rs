@@ -37,10 +37,8 @@
 //! differential-tested below.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
-use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
+use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{collect_episode_with_rng, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_env::{EnvConfig, Environment, EpisodeStats, Observation};
@@ -48,9 +46,10 @@ use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_graph::GraphError;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
-use xrlflow_tensor::{ParamSnapshot, SnapshotError, XorShiftRng};
+use xrlflow_tensor::{splitmix64, ParamSnapshot, XorShiftRng};
 
-use crate::{splitmix64, EnvSpec, ItemFailure, RolloutError};
+use crate::supervised::supervised_map;
+use crate::{EnvSpec, RolloutError};
 
 /// One named model of a curriculum: a display name (usually the model-zoo
 /// name) plus the shared-component environment spec built from it.
@@ -149,24 +148,26 @@ impl Curriculum {
 
 /// The deterministic action-RNG seed of episode `episode` of spec `spec`.
 ///
-/// The curriculum half of the determinism contract: every path that collects
-/// this `(spec, episode)` work item under base seed `base_seed` — the serial
+/// The determinism contract of collection: every path that collects this
+/// `(spec, episode)` work item under base seed `base_seed` — the serial
 /// oracle or any worker of any pool size — derives its `XorShiftRng` from
-/// this value. The spec index is folded in through a SplitMix64 mix so no
-/// two specs share an action stream.
+/// this value. Spec and episode indices are folded in through SplitMix64
+/// mixes, so no two specs share an action stream and adjacent episodes get
+/// decorrelated seeds.
 pub fn curriculum_rng_seed(base_seed: u64, spec: usize, episode: u64) -> u64 {
     let spec_base = splitmix64(base_seed ^ (spec as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    crate::episode_rng_seed(spec_base, episode)
+    splitmix64(spec_base ^ episode.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 /// The fault-injection work-item id of episode `episode` of curriculum spec
 /// `spec` — what a [`xrlflow_core::fault::FaultPlan`] targets in the
-/// [`FaultPhase::CurriculumCollect`] phase, and what a
-/// `RolloutError::WorkerFault` reports back.
+/// [`FaultPhase::Collect`] phase, and what a `RolloutError::WorkerFault`
+/// reports back.
 ///
 /// The round-local flattened item index is ambiguous across rounds (item 0
 /// means a different episode every round), so the id packs the globally
-/// unique `(spec, episode)` pair instead: `spec << 32 | episode`.
+/// unique `(spec, episode)` pair instead: `spec << 32 | episode`. For spec 0
+/// — every single-model run — the id is the episode index.
 pub fn curriculum_fault_item(spec: usize, episode: u64) -> u64 {
     ((spec as u64) << 32) | (episode & 0xFFFF_FFFF)
 }
@@ -229,104 +230,10 @@ pub fn collect_curriculum_serial(
     out
 }
 
-/// Runs one supervised curriculum work item: trips the fault-injection hook
-/// (item id = [`curriculum_fault_item`]), then collects episode
-/// `first_episode + item % episodes_per_spec` of spec
-/// `item / episodes_per_spec` under `catch_unwind` so a panic becomes a
-/// queueable [`ItemFailure`] instead of tearing down the pool. On failure
-/// the spec's cached environment is dropped (a panic leaves its state
-/// unspecified; a rebuilt one is bit-identical because episodes reset
-/// first).
-#[allow(clippy::too_many_arguments)]
-fn run_curriculum_item(
-    replica: &XrlflowAgent,
-    curriculum: &Curriculum,
-    envs: &mut [Option<Environment>],
-    item: usize,
-    episodes_per_spec: usize,
-    first_episode: u64,
-    base_seed: u64,
-    attempt: u32,
-) -> Result<(usize, RolloutBuffer<Observation>, CurriculumEpisode), ItemFailure> {
-    let spec = item / episodes_per_spec;
-    let episode = first_episode + (item % episodes_per_spec) as u64;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        fault::trip(FaultPhase::CurriculumCollect, curriculum_fault_item(spec, episode), attempt);
-        // One lazily-built environment per spec; reset() makes reuse across
-        // episodes bit-identical to a fresh environment.
-        let env = envs[spec].get_or_insert_with(|| curriculum.entries()[spec].spec.build_env());
-        let mut buffer = RolloutBuffer::new();
-        let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
-        let stats = collect_episode_with_rng(replica, env, &mut rng, &mut buffer, episode);
-        (item, buffer, CurriculumEpisode { spec, episode, stats })
-    }));
-    result.map_err(|payload| {
-        xrlflow_obs::counter!("rollout/worker_panics").inc();
-        envs[spec] = None;
-        ItemFailure { item: item as u64, payload: fault::panic_payload_text(payload.as_ref()) }
-    })
-}
-
-/// Re-runs failed curriculum items on the calling thread, in item order,
-/// until each succeeds or the retry budget is exhausted. Seeds depend only
-/// on `(base_seed, spec, episode)`, so a retried item is bit-identical to a
-/// first-attempt success on any worker.
-fn retry_curriculum_failures(
-    replica: &XrlflowAgent,
-    curriculum: &Curriculum,
-    episodes_per_spec: usize,
-    first_episode: u64,
-    base_seed: u64,
-    mut failures: Vec<ItemFailure>,
-    out: &mut Vec<(usize, RolloutBuffer<Observation>, CurriculumEpisode)>,
-) -> Result<(), RolloutError> {
-    failures.sort_by_key(|f| f.item);
-    let budget = crate::retry_budget();
-    let mut envs: Vec<Option<Environment>> = (0..curriculum.len()).map(|_| None).collect();
-    for failure in failures {
-        let item = failure.item as usize;
-        let spec = item / episodes_per_spec;
-        let episode = first_episode + (item % episodes_per_spec) as u64;
-        let mut last = failure;
-        let mut attempt = 1u32;
-        loop {
-            if attempt > budget {
-                return Err(WorkerFault {
-                    phase: FaultPhase::CurriculumCollect,
-                    item: curriculum_fault_item(spec, episode),
-                    attempts: attempt,
-                    payload: last.payload,
-                }
-                .into());
-            }
-            xrlflow_obs::counter!("rollout/item_retries").inc();
-            match run_curriculum_item(
-                replica,
-                curriculum,
-                &mut envs,
-                item,
-                episodes_per_spec,
-                first_episode,
-                base_seed,
-                attempt,
-            ) {
-                Ok(done) => {
-                    out.push(done);
-                    break;
-                }
-                Err(f) => {
-                    last = f;
-                    attempt += 1;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Collects one curriculum round — `episodes_per_spec` episodes for every
 /// spec — with a supervised pool of `num_workers` threads sharded across the
-/// flattened `(spec, episode)` work items.
+/// flattened `(spec, episode)` work items. This is the engine's only
+/// collection path: a single model is a one-entry curriculum.
 ///
 /// Each worker builds a read-only agent replica from `snapshot` and one
 /// environment per spec it touches (lazily, over the spec's shared `Arc`s),
@@ -336,15 +243,16 @@ fn retry_curriculum_failures(
 /// [`collect_curriculum_serial`] over the same range and base seed, for any
 /// worker count — one worker runs the same supervised path serially.
 ///
-/// The pool is fault-tolerant: each item runs under `catch_unwind`, a
-/// panicking item is re-queued and deterministically retried on the calling
-/// thread (identical seeds → identical transitions), and a worker panic
-/// never aborts the process.
+/// The pool is fault-tolerant: each item trips `config.faults` and runs
+/// supervised, a panicking item is re-queued and deterministically
+/// retried on the calling thread (identical seeds → identical transitions),
+/// and a worker panic never aborts the process.
 ///
 /// # Errors
 ///
 /// * [`RolloutError::Snapshot`] when `snapshot` does not match the
-///   architecture described by `config`.
+///   architecture described by `config` (checked when a worker builds its
+///   replica, so an empty round reports nothing).
 /// * [`RolloutError::WorkerFault`] when an item kept panicking past the
 ///   retry budget (`XRLFLOW_ROLLOUT_RETRIES`, default 2); the reported item
 ///   id is [`curriculum_fault_item`]`(spec, episode)`.
@@ -357,107 +265,41 @@ pub fn collect_curriculum_parallel(
     base_seed: u64,
     num_workers: usize,
 ) -> Result<CurriculumRollouts, RolloutError> {
-    let num_specs = curriculum.len();
-    let total_items = num_specs * episodes_per_spec;
-    let num_workers = num_workers.clamp(1, total_items.max(1));
-    type WorkerOutput = Vec<(usize, RolloutBuffer<Observation>, CurriculumEpisode)>;
-    let mut per_item: WorkerOutput;
-    let failures: Vec<ItemFailure>;
-    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
+    let episodes = first_episode..first_episode + episodes_per_spec as u64;
+    let items: Vec<(u64, (usize, u64))> = (0..curriculum.len())
+        .flat_map(|spec| {
+            episodes.clone().map(move |episode| (curriculum_fault_item(spec, episode), (spec, episode)))
+        })
+        .collect();
+    let collected = supervised_map(
+        &items,
+        num_workers,
+        FaultPhase::Collect,
+        config.faults.as_deref(),
+        || {
+            let envs: Vec<Option<Environment>> = curriculum.entries().iter().map(|_| None).collect();
+            Ok((XrlflowAgent::from_snapshot(config, snapshot)?, envs))
+        },
+        |(replica, envs), &(spec, episode)| {
+            // One lazily-built environment per spec; reset() makes reuse
+            // across episodes bit-identical to a fresh environment.
+            let env = envs[spec].get_or_insert_with(|| curriculum.entries()[spec].spec.build_env());
+            let mut buffer = RolloutBuffer::new();
+            let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
+            let stats = collect_episode_with_rng(replica, env, &mut rng, &mut buffer, episode);
+            (buffer, CurriculumEpisode { spec, episode, stats })
+        },
+    )?;
 
-    if num_workers <= 1 {
-        // Degenerate pool: the same supervised loop, serially in the calling
-        // thread — no thread spawn, but identical fault semantics.
-        let mut envs: Vec<Option<Environment>> = (0..num_specs).map(|_| None).collect();
-        per_item = Vec::with_capacity(total_items);
-        let mut failed = Vec::new();
-        for item in 0..total_items {
-            match run_curriculum_item(
-                &replica,
-                curriculum,
-                &mut envs,
-                item,
-                episodes_per_spec,
-                first_episode,
-                base_seed,
-                0,
-            ) {
-                Ok(done) => per_item.push(done),
-                Err(failure) => failed.push(failure),
-            }
-        }
-        failures = failed;
-    } else {
-        let meter = crate::PoolMeter::start(num_workers);
-        let shared_failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-        per_item = std::thread::scope(|scope| -> Result<WorkerOutput, SnapshotError> {
-            let mut handles = Vec::with_capacity(num_workers);
-            for worker in 0..num_workers {
-                let shared_failures = &shared_failures;
-                handles.push(scope.spawn(move || -> Result<WorkerOutput, SnapshotError> {
-                    let _busy = xrlflow_obs::span!("rollout/worker_busy");
-                    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-                    let mut envs: Vec<Option<Environment>> = (0..num_specs).map(|_| None).collect();
-                    let mut out = Vec::new();
-                    let mut item = worker;
-                    while item < total_items {
-                        match run_curriculum_item(
-                            &replica,
-                            curriculum,
-                            &mut envs,
-                            item,
-                            episodes_per_spec,
-                            first_episode,
-                            base_seed,
-                            0,
-                        ) {
-                            Ok(done) => out.push(done),
-                            Err(failure) => {
-                                shared_failures.lock().unwrap_or_else(PoisonError::into_inner).push(failure)
-                            }
-                        }
-                        item += num_workers;
-                    }
-                    Ok(out)
-                }));
-            }
-            let mut merged = Vec::with_capacity(total_items);
-            for handle in handles {
-                merged
-                    .extend(handle.join().expect("curriculum rollout worker panicked outside a work item")?);
-            }
-            Ok(merged)
-        })?;
-        meter.finish();
-        failures = shared_failures.into_inner().unwrap_or_else(PoisonError::into_inner);
-    }
-
-    if !failures.is_empty() {
-        retry_curriculum_failures(
-            &replica,
-            curriculum,
-            episodes_per_spec,
-            first_episode,
-            base_seed,
-            failures,
-            &mut per_item,
-        )?;
-    }
-
-    // Ordered merge: item index == spec-then-episode order, the curriculum
-    // half of the determinism contract.
-    per_item.sort_by_key(|(item, _, _)| *item);
+    // Items arrive in spec-then-episode order, so each spec's transitions
+    // form one contiguous segment of the merged buffer.
+    let mut collected = collected.into_iter();
     let mut out = CurriculumRollouts::default();
-    let mut next_item = 0;
-    for spec in 0..num_specs {
+    for _ in 0..curriculum.len() {
         let start = out.buffer.len();
-        for _ in 0..episodes_per_spec {
-            let (item, buffer, episode) = &mut per_item[next_item];
-            debug_assert_eq!(*item, next_item, "work items must merge gap-free in item order");
-            debug_assert_eq!(episode.spec, spec);
-            out.buffer.append(buffer);
-            out.episodes.push(episode.clone());
-            next_item += 1;
+        for (mut buffer, episode) in collected.by_ref().take(episodes_per_spec) {
+            out.buffer.append(&mut buffer);
+            out.episodes.push(episode);
         }
         out.spec_ranges.push(start..out.buffer.len());
     }

@@ -7,7 +7,7 @@ use xrlflow_tensor::SnapshotError;
 
 /// Everything that can go wrong inside the parallel training engine.
 ///
-/// The supervised worker pools turn a panicking work item into a queued
+/// The supervised worker pool turns a panicking work item into a queued
 /// retry, so a single fault never reaches the caller; only structural
 /// problems do — a snapshot that does not match the configured architecture,
 /// an item that kept panicking past its retry budget, or a failed durable

@@ -1,11 +1,12 @@
 //! # xrlflow-rollout
 //!
-//! Parallel execution engine for the X-RLflow PPO loop: a thread-based
-//! worker pool that turns multi-core hardware into rollout **and update**
-//! throughput without changing a single learned number — episode collection
-//! ([`collect_parallel`]) and the PPO update's per-transition re-evaluations
-//! ([`update_parallel`]) both shard across workers under the same
-//! snapshot-broadcast + ordered-merge determinism contract.
+//! Parallel execution engine for the X-RLflow PPO loop: one supervised,
+//! thread-based worker pool that turns multi-core hardware into rollout
+//! **and update** throughput without changing a single learned number —
+//! episode collection ([`collect_curriculum_parallel`]) and the PPO update's
+//! per-transition re-evaluations ([`update_parallel`]) are both item
+//! closures over it, under the same snapshot-broadcast + ordered-merge
+//! determinism contract.
 //!
 //! After the per-step hot paths were delta-ified (patch-based candidates,
 //! batched delta-aware GNN evaluation), wall-clock training time is
@@ -15,36 +16,38 @@
 //! RL-based XLA optimiser), under a strict determinism contract:
 //!
 //! * **Snapshot-based parameter broadcast.** The trainer captures one
-//!   [`ParamSnapshot`] of the live agent per PPO update; every worker builds
-//!   its own read-only replica from it ([`XrlflowAgent::from_snapshot`]).
-//!   Workers never share a live `ParamStore` or a `Tape`.
-//! * **Shared immutable world.** Workers build their environments from one
-//!   [`EnvSpec`] — the same `Arc<Graph>` model-zoo entry, `Arc<RuleSet>` and
-//!   `Arc<InferenceSimulator>` (whose memoised measurement cache is
-//!   internally synchronised and seed-deterministic regardless of cache
-//!   state).
-//! * **Per-episode seed schedule.** Episode `e` always resets its
+//!   [`ParamSnapshot`](xrlflow_tensor::ParamSnapshot) of the live agent per
+//!   PPO update; every worker builds its own read-only replica from it
+//!   ([`XrlflowAgent::from_snapshot`]). Workers never share a live
+//!   `ParamStore` or a `Tape`.
+//! * **Shared immutable world.** Workers build their environments from a
+//!   [`Curriculum`] of [`EnvSpec`]s — shared `Arc<Graph>` model-zoo entries,
+//!   `Arc<RuleSet>`s and `Arc<InferenceSimulator>`s (whose memoised
+//!   measurement cache is internally synchronised and seed-deterministic
+//!   regardless of cache state). A single model is a one-entry curriculum.
+//! * **Item-keyed seed schedule.** Episode `e` of spec `s` always resets its
 //!   environment with seed `e` and samples actions from a fresh
-//!   `XorShiftRng` seeded by `mix(base_seed, e)`, no matter which worker
+//!   `XorShiftRng` seeded by [`curriculum_rng_seed`], no matter which worker
 //!   runs it or in what order episodes finish.
-//! * **Ordered merge.** Workers hand back per-episode buffers; the engine
-//!   merges them **by episode index**, not completion order.
+//! * **Ordered merge.** Workers hand back per-item results; the pool merges
+//!   them **by item index**, not completion order.
 //!
-//! Together these make [`collect_parallel`] with any worker count
+//! Together these make [`collect_curriculum_parallel`] with any worker count
 //! transition-for-transition bit-identical to the retained serial path
-//! [`collect_serial`] — asserted by differential tests in the same spirit
-//! as `policy_logits_serial`.
+//! [`collect_curriculum_serial`] — asserted by differential tests in the
+//! same spirit as `policy_logits_serial`.
 //!
-//! The pools are **supervised**: every work item runs under `catch_unwind`
-//! with the `xrlflow_core::fault` injection hook at its top, a panicking
-//! item is queued and deterministically retried on the calling thread (up to
-//! `XRLFLOW_ROLLOUT_RETRIES` extra attempts, default 2), and only budget
-//! exhaustion surfaces — as the typed [`RolloutError::WorkerFault`], never a
-//! process abort. Because every seed is a pure function of the item id, a
-//! retried item is bit-identical to a first-attempt success, so the
-//! differential suites hold even under injected faults. [`ParallelTrainer`]
-//! additionally writes durable exact-resume [`TrainState`] checkpoints
-//! ([`CheckpointConfig`]) so a killed run continues bit-identically.
+//! The pool is **supervised**: every work item trips the configuration's
+//! fault plan (`XrlflowConfig::faults`) and any panic it raises is caught;
+//! a panicking item is queued and deterministically retried on the calling
+//! thread (up to `XRLFLOW_ROLLOUT_RETRIES` extra attempts, default 2), and
+//! only budget exhaustion surfaces — as the typed
+//! [`RolloutError::WorkerFault`], never a process abort. Because every seed
+//! is a pure function of the item id, a retried item is bit-identical to a
+//! first-attempt success, so the differential suites hold even under
+//! injected faults. [`ParallelTrainer`] additionally writes durable
+//! exact-resume [`TrainState`] checkpoints ([`CheckpointConfig`]) so a
+//! killed run continues bit-identically.
 //!
 //! ## Quickstart
 //!
@@ -53,13 +56,14 @@
 //! use xrlflow_cost::DeviceProfile;
 //! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 //! use xrlflow_rewrite::RuleSet;
-//! use xrlflow_rollout::{collect_parallel, EnvSpec};
+//! use xrlflow_rollout::{collect_curriculum_parallel, Curriculum, EnvSpec};
 //!
 //! let config = XrlflowConfig::smoke_test();
 //! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
 //! let spec = EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone());
+//! let curriculum = Curriculum::new().with_entry("SqueezeNet", spec);
 //! let agent = XrlflowAgent::new(&config, 0);
-//! let rollouts = collect_parallel(&config, &agent.snapshot(), &spec, 0, 2, 7, 2).unwrap();
+//! let rollouts = collect_curriculum_parallel(&config, &agent.snapshot(), &curriculum, 0, 2, 7, 2).unwrap();
 //! assert_eq!(rollouts.episodes.len(), 2);
 //! assert!(!rollouts.buffer.is_empty());
 //! ```
@@ -68,6 +72,7 @@
 
 mod curriculum;
 mod error;
+mod supervised;
 mod update;
 
 pub use curriculum::{
@@ -77,76 +82,19 @@ pub use curriculum::{
 pub use error::RolloutError;
 pub use update::{minibatch_grads_parallel, update_parallel};
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
-use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
 use xrlflow_core::{
-    collect_episode_with_rng, collect_phase_breakdown_ns, latest_train_state, prune_train_states,
-    train_state_path, ModelBreakdown, TrainReport, TrainState, Trainer, UpdateTiming, XrlflowAgent,
-    XrlflowConfig,
+    collect_phase_breakdown_ns, latest_train_state, prune_train_states, train_state_path, ModelBreakdown,
+    TrainReport, TrainState, Trainer, UpdateTiming, XrlflowAgent, XrlflowConfig,
 };
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
-use xrlflow_env::{EnvConfig, Environment, EpisodeStats, Observation};
+use xrlflow_env::{EnvConfig, Environment, EpisodeStats};
 use xrlflow_graph::Graph;
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rl::RolloutBuffer;
-use xrlflow_tensor::{ParamSnapshot, SnapshotError, XorShiftRng};
-
-/// The supervised pools' retry budget: how many times a failed work item is
-/// re-executed (beyond its first attempt) before the round gives up with
-/// [`RolloutError::WorkerFault`]. `XRLFLOW_ROLLOUT_RETRIES` overrides the
-/// default of 2; unparseable values fall back to the default, matching the
-/// leniency of `XRLFLOW_WORKERS`.
-pub(crate) fn retry_budget() -> u32 {
-    std::env::var("XRLFLOW_ROLLOUT_RETRIES").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(2)
-}
-
-/// A work item whose execution panicked: the item id (numbered as in
-/// [`xrlflow_core::fault::FaultSpec`]) plus the panic payload text. Queued
-/// by workers, drained by the caller-thread retry loop.
-pub(crate) struct ItemFailure {
-    pub(crate) item: u64,
-    pub(crate) payload: String,
-}
-
-/// Busy/idle accounting for one parallel collection: each worker wraps its
-/// whole closure in a `rollout/worker_busy` span, and the meter turns the
-/// busy-histogram delta plus the pool's wall-clock into the
-/// `rollout/worker_busy_ns` / `rollout/worker_wall_ns` counters and the
-/// `rollout/worker_utilization` gauge (busy ÷ wall × workers; 1.0 = no
-/// worker ever idled waiting for stragglers). Inert while telemetry is
-/// disabled — the clock is never read.
-pub(crate) struct PoolMeter {
-    busy_before_ns: u64,
-    start: Option<Instant>,
-    num_workers: usize,
-}
-
-impl PoolMeter {
-    pub(crate) fn start(num_workers: usize) -> Self {
-        Self {
-            busy_before_ns: xrlflow_obs::histogram!("rollout/worker_busy").sum(),
-            start: xrlflow_obs::enabled().then(Instant::now),
-            num_workers,
-        }
-    }
-
-    pub(crate) fn finish(self) {
-        let Some(start) = self.start else { return };
-        let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let busy_ns =
-            xrlflow_obs::histogram!("rollout/worker_busy").sum().saturating_sub(self.busy_before_ns);
-        let pool_ns = wall_ns.saturating_mul(self.num_workers as u64);
-        xrlflow_obs::counter!("rollout/worker_busy_ns").add(busy_ns);
-        xrlflow_obs::counter!("rollout/worker_wall_ns").add(pool_ns);
-        if pool_ns > 0 {
-            xrlflow_obs::gauge!("rollout/worker_utilization").set(busy_ns as f64 / pool_ns as f64);
-        }
-    }
-}
+use xrlflow_tensor::SnapshotError;
 
 /// Everything a worker needs to build its own [`Environment`]: the initial
 /// graph (one shared model-zoo entry), the rule library, the latency
@@ -188,251 +136,6 @@ impl EnvSpec {
             self.env.clone(),
         )
     }
-}
-
-/// The merged result of collecting a batch of episodes: one rollout buffer
-/// holding every transition in episode order, plus per-episode statistics in
-/// the same order.
-#[derive(Debug, Clone, Default)]
-pub struct CollectedRollouts {
-    /// Transitions of all episodes, concatenated in episode-index order.
-    pub buffer: RolloutBuffer<Observation>,
-    /// Per-episode statistics, indexed by episode order.
-    pub episodes: Vec<EpisodeStats>,
-}
-
-// The SplitMix64 finaliser decorrelating seeds from structured indices now
-// lives in `xrlflow_tensor` (the trainer's minibatch-shuffle seed uses the
-// same mix); re-imported here for the episode/curriculum seed schedules.
-pub(crate) use xrlflow_tensor::splitmix64;
-
-/// The deterministic seed of episode `episode`'s action-sampling RNG.
-///
-/// Part of the determinism contract: every path that collects episode `e`
-/// under base seed `b` — serial or any worker of any pool size — derives its
-/// `XorShiftRng` from this value.
-pub fn episode_rng_seed(base_seed: u64, episode: u64) -> u64 {
-    splitmix64(base_seed ^ episode.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// Collects exactly one episode: resets `env` with seed `episode`, samples
-/// actions from a fresh RNG seeded by [`episode_rng_seed`], and pushes every
-/// transition into `buffer`.
-///
-/// The stepping loop itself is `xrlflow_core`'s [`collect_episode_with_rng`]
-/// — the same function `Trainer::collect_episode` runs — so the serial and
-/// parallel paths record identical transitions by construction; this wrapper
-/// only pins the determinism contract's seeds.
-pub fn collect_episode_seeded(
-    agent: &XrlflowAgent,
-    env: &mut Environment,
-    episode: u64,
-    base_seed: u64,
-    buffer: &mut RolloutBuffer<Observation>,
-) -> EpisodeStats {
-    let mut rng = XorShiftRng::new(episode_rng_seed(base_seed, episode));
-    collect_episode_with_rng(agent, env, &mut rng, buffer, episode)
-}
-
-/// The retained serial collection path: episodes `first_episode ..
-/// first_episode + num_episodes` collected one after another in the calling
-/// thread, against the live agent.
-///
-/// This is the differential-testing oracle for [`collect_parallel`] (same
-/// spirit as `policy_logits_serial`) — deliberately free of the supervised
-/// pool's catch/retry machinery, so the differential suites compare the
-/// fault-tolerant engine against a path that cannot mask a panic.
-pub fn collect_serial(
-    agent: &XrlflowAgent,
-    spec: &EnvSpec,
-    first_episode: u64,
-    num_episodes: usize,
-    base_seed: u64,
-) -> CollectedRollouts {
-    let mut env = spec.build_env();
-    let mut out = CollectedRollouts::default();
-    for episode in first_episode..first_episode + num_episodes as u64 {
-        let stats = collect_episode_seeded(agent, &mut env, episode, base_seed, &mut out.buffer);
-        out.episodes.push(stats);
-    }
-    out
-}
-
-/// Runs one supervised collection work item: trips the fault-injection hook
-/// ([`fault::trip`] with the episode index as item id), then collects the
-/// episode under `catch_unwind` so an injected — or real — panic becomes a
-/// queueable [`ItemFailure`] instead of tearing down the pool. The caller
-/// must rebuild `env` after a failure (a panic leaves its state unspecified;
-/// a fresh environment is bit-identical because every episode resets first).
-fn run_collect_item(
-    replica: &XrlflowAgent,
-    env: &mut Environment,
-    episode: u64,
-    base_seed: u64,
-    attempt: u32,
-) -> Result<(u64, RolloutBuffer<Observation>, EpisodeStats), ItemFailure> {
-    catch_unwind(AssertUnwindSafe(|| {
-        fault::trip(FaultPhase::Collect, episode, attempt);
-        let mut buffer = RolloutBuffer::new();
-        let stats = collect_episode_seeded(replica, env, episode, base_seed, &mut buffer);
-        (episode, buffer, stats)
-    }))
-    .map_err(|payload| {
-        xrlflow_obs::counter!("rollout/worker_panics").inc();
-        ItemFailure { item: episode, payload: fault::panic_payload_text(payload.as_ref()) }
-    })
-}
-
-/// Re-runs failed collection items on the calling thread, in episode order,
-/// until each succeeds or the retry budget is exhausted. The seeds depend
-/// only on the episode index, so a retried episode is bit-identical to a
-/// first-attempt success on any worker.
-fn retry_collect_failures(
-    replica: &XrlflowAgent,
-    spec: &EnvSpec,
-    base_seed: u64,
-    mut failures: Vec<ItemFailure>,
-    out: &mut Vec<(u64, RolloutBuffer<Observation>, EpisodeStats)>,
-) -> Result<(), RolloutError> {
-    failures.sort_by_key(|f| f.item);
-    let budget = retry_budget();
-    let mut env = spec.build_env();
-    for failure in failures {
-        let episode = failure.item;
-        let mut last = failure;
-        let mut attempt = 1u32;
-        loop {
-            if attempt > budget {
-                return Err(WorkerFault {
-                    phase: FaultPhase::Collect,
-                    item: episode,
-                    attempts: attempt,
-                    payload: last.payload,
-                }
-                .into());
-            }
-            xrlflow_obs::counter!("rollout/item_retries").inc();
-            match run_collect_item(replica, &mut env, episode, base_seed, attempt) {
-                Ok(item) => {
-                    out.push(item);
-                    break;
-                }
-                Err(f) => {
-                    env = spec.build_env();
-                    last = f;
-                    attempt += 1;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Collects episodes `first_episode .. first_episode + num_episodes` with a
-/// supervised pool of `num_workers` threads.
-///
-/// Each worker builds a read-only agent replica from `snapshot` (broadcast —
-/// workers never touch a live `ParamStore`) and its own environment from
-/// `spec`, then round-robins over the episode indices assigned to it
-/// (`episode % num_workers == worker`). Results are merged **by episode
-/// index**, so the output is transition-for-transition bit-identical to
-/// [`collect_serial`] over the same range and base seed, for any worker
-/// count — one worker runs the same supervised path serially.
-///
-/// The pool is fault-tolerant: each episode runs under `catch_unwind`, a
-/// panicking item is re-queued and deterministically retried on the calling
-/// thread (identical seeds → identical transitions), and a worker panic
-/// never aborts the process.
-///
-/// # Errors
-///
-/// * [`RolloutError::Snapshot`] when `snapshot` does not match the
-///   architecture described by `config`.
-/// * [`RolloutError::WorkerFault`] when an episode kept panicking past the
-///   retry budget (`XRLFLOW_ROLLOUT_RETRIES`, default 2).
-pub fn collect_parallel(
-    config: &XrlflowConfig,
-    snapshot: &ParamSnapshot,
-    spec: &EnvSpec,
-    first_episode: u64,
-    num_episodes: usize,
-    base_seed: u64,
-    num_workers: usize,
-) -> Result<CollectedRollouts, RolloutError> {
-    let num_workers = num_workers.clamp(1, num_episodes.max(1));
-    let end = first_episode + num_episodes as u64;
-    type WorkerOutput = Vec<(u64, RolloutBuffer<Observation>, EpisodeStats)>;
-    let mut per_episode: WorkerOutput;
-    let failures: Vec<ItemFailure>;
-    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-
-    if num_workers <= 1 {
-        // Degenerate pool: the same supervised loop, serially in the calling
-        // thread — no thread spawn, but identical fault semantics.
-        let mut env = spec.build_env();
-        per_episode = Vec::with_capacity(num_episodes);
-        let mut failed = Vec::new();
-        for episode in first_episode..end {
-            match run_collect_item(&replica, &mut env, episode, base_seed, 0) {
-                Ok(item) => per_episode.push(item),
-                Err(failure) => {
-                    env = spec.build_env();
-                    failed.push(failure);
-                }
-            }
-        }
-        failures = failed;
-    } else {
-        let meter = PoolMeter::start(num_workers);
-        let shared_failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-        per_episode = std::thread::scope(|scope| -> Result<WorkerOutput, SnapshotError> {
-            let mut handles = Vec::with_capacity(num_workers);
-            for worker in 0..num_workers {
-                let shared_failures = &shared_failures;
-                handles.push(scope.spawn(move || -> Result<WorkerOutput, SnapshotError> {
-                    let _busy = xrlflow_obs::span!("rollout/worker_busy");
-                    // Broadcast: a private replica per worker, built once per
-                    // collection round from the snapshot.
-                    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-                    let mut env = spec.build_env();
-                    let mut out = Vec::new();
-                    let mut episode = first_episode + worker as u64;
-                    while episode < end {
-                        match run_collect_item(&replica, &mut env, episode, base_seed, 0) {
-                            Ok(item) => out.push(item),
-                            Err(failure) => {
-                                env = spec.build_env();
-                                shared_failures.lock().unwrap_or_else(PoisonError::into_inner).push(failure);
-                            }
-                        }
-                        episode += num_workers as u64;
-                    }
-                    Ok(out)
-                }));
-            }
-            let mut merged = Vec::with_capacity(num_episodes);
-            for handle in handles {
-                merged.extend(handle.join().expect("rollout worker panicked outside a work item")?);
-            }
-            Ok(merged)
-        })?;
-        meter.finish();
-        failures = shared_failures.into_inner().unwrap_or_else(PoisonError::into_inner);
-    }
-
-    if !failures.is_empty() {
-        retry_collect_failures(&replica, spec, base_seed, failures, &mut per_episode)?;
-    }
-
-    // Merge is ordered by episode index, not completion order — the last
-    // piece of the determinism contract.
-    per_episode.sort_by_key(|(episode, _, _)| *episode);
-    let mut out = CollectedRollouts::default();
-    for (_, mut buffer, stats) in per_episode {
-        out.buffer.append(&mut buffer);
-        out.episodes.push(stats);
-    }
-    Ok(out)
 }
 
 /// Durable-checkpoint policy for [`ParallelTrainer`]: where to write
@@ -646,52 +349,24 @@ impl ParallelTrainer {
         self.trainer.load_checkpoint(agent, path)
     }
 
-    /// Runs the full training loop: broadcast a parameter snapshot, collect
-    /// `update_frequency` episodes across the supervised worker pool, merge
-    /// in episode order, update, repeat until `episodes` episodes have been
-    /// collected. After a [`ParallelTrainer::resume_from`], collection
-    /// continues at the restored schedule position instead of episode 0
-    /// (`episodes` still names the run's total).
-    ///
-    /// With the same seed this produces bit-identical episodes, updates and
-    /// final parameters for any worker count; [`TrainReport::timings`]
-    /// records the wall-clock collection/update split per round so the
-    /// parallel speedup is observable.
+    /// Single-model training: [`ParallelTrainer::train_curriculum`] over a
+    /// one-entry curriculum holding `spec`, so `episodes` names the run's
+    /// total and the report carries one [`TrainReport::per_model`] entry.
     ///
     /// # Errors
     ///
-    /// * [`RolloutError::Snapshot`] when the agent does not match the
-    ///   trainer's architecture configuration.
-    /// * [`RolloutError::WorkerFault`] when a work item kept panicking past
-    ///   the retry budget.
-    /// * [`RolloutError::Checkpoint`] when a durable checkpoint write fails.
+    /// As [`ParallelTrainer::train_curriculum`].
     pub fn train(
         &mut self,
         agent: &mut XrlflowAgent,
         spec: &EnvSpec,
         episodes: usize,
     ) -> Result<TrainReport, RolloutError> {
-        self.validate_agent(agent)?;
-        let (num_workers, base_seed) = (self.num_workers, self.base_seed);
-        let start_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes);
-        let config = self.trainer.config().clone();
-        let loop_ctx = RoundLoop { start_episode, base_seed, checkpoint: self.checkpointing.as_ref() };
-        let (report, _) =
-            run_rounds(&mut self.trainer, agent, episodes, num_workers, loop_ctx, |agent, first, batch| {
-                // Broadcast the current parameters once per update round; the
-                // supervised pool covers every worker count, including 1.
-                let rollouts =
-                    collect_parallel(&config, &agent.snapshot(), spec, first, batch, base_seed, num_workers)?;
-                Ok(Round {
-                    buffer: rollouts.buffer,
-                    episodes: rollouts.episodes.into_iter().map(|stats| (0, stats)).collect(),
-                    segments: Vec::new(),
-                })
-            })?;
-        Ok(report)
+        self.train_curriculum(agent, &Curriculum::new().with_entry("model", spec.clone()), episodes)
     }
 
-    /// Runs the multi-model curriculum training loop: per PPO round, collect
+    /// Runs the multi-model curriculum training loop: per PPO round,
+    /// broadcast a parameter snapshot and collect
     /// `min(update_frequency, remaining)` episodes **for every curriculum
     /// model** across the worker pool (work items sharded spec-then-episode,
     /// merged in item order), then drive one shared update over the merged
@@ -702,10 +377,13 @@ impl ParallelTrainer {
     ///
     /// With the same seed this produces bit-identical episodes, updates and
     /// final parameters for any worker count. The returned report carries
-    /// the usual episode/update/timing series plus
-    /// [`TrainReport::per_model`] breakdowns, one per curriculum entry in
-    /// curriculum order. After a [`ParallelTrainer::resume_from`], rounds
-    /// continue at the restored per-spec schedule position.
+    /// the episode/update series, the wall-clock collect/update split per
+    /// round ([`TrainReport::timings`]) and [`TrainReport::per_model`]
+    /// breakdowns, one per curriculum entry in curriculum order. With a
+    /// checkpoint policy installed, a durable [`TrainState`] is written every
+    /// `every`-th round and after the final one. After a
+    /// [`ParallelTrainer::resume_from`], rounds continue at the restored
+    /// per-spec schedule position.
     ///
     /// # Errors
     ///
@@ -724,38 +402,62 @@ impl ParallelTrainer {
         if curriculum.is_empty() || episodes_per_spec == 0 {
             return Ok(TrainReport::default());
         }
-        let (num_workers, base_seed) = (self.num_workers, self.base_seed);
-        let start_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes_per_spec);
+        let num_workers = self.num_workers;
         let config = self.trainer.config().clone();
-        let loop_ctx = RoundLoop { start_episode, base_seed, checkpoint: self.checkpointing.as_ref() };
-        let (mut report, spec_tags) = run_rounds(
-            &mut self.trainer,
-            agent,
-            episodes_per_spec,
-            num_workers,
-            loop_ctx,
-            |agent, first, batch| {
-                // Broadcast the current parameters once per update round; the
-                // supervised pool covers every worker count, including 1.
-                let rollouts = collect_curriculum_parallel(
+        let frequency = config.ppo.update_frequency.max(1);
+        let mut next_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes_per_spec);
+        let mut report = TrainReport::default();
+        let mut per_spec_stats: Vec<Vec<EpisodeStats>> = vec![Vec::new(); curriculum.len()];
+        let mut rounds = 0usize;
+        while next_episode < episodes_per_spec {
+            let batch = frequency.min(episodes_per_spec - next_episode);
+            let (sim_before_ns, candgen_before_ns) = collect_phase_breakdown_ns();
+            let collect_start = Instant::now();
+            let mut rollouts = {
+                let _span = xrlflow_obs::span!("rollout/collect");
+                collect_curriculum_parallel(
                     &config,
                     &agent.snapshot(),
                     curriculum,
-                    first,
+                    next_episode as u64,
                     batch,
-                    base_seed,
+                    self.base_seed,
                     num_workers,
-                )?;
-                Ok(Round {
-                    buffer: rollouts.buffer,
-                    episodes: rollouts.episodes.into_iter().map(|e| (e.spec, e.stats)).collect(),
-                    segments: rollouts.spec_ranges,
-                })
-            },
-        )?;
-        let mut per_spec_stats: Vec<Vec<EpisodeStats>> = vec![Vec::new(); curriculum.len()];
-        for (&spec, stats) in spec_tags.iter().zip(&report.episodes) {
-            per_spec_stats[spec].push(stats.clone());
+                )?
+            };
+            let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
+            let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();
+            xrlflow_obs::counter!("rollout/episodes").add(rollouts.episodes.len() as u64);
+            for episode in rollouts.episodes {
+                per_spec_stats[episode.spec].push(episode.stats.clone());
+                report.episodes.push(episode.stats);
+            }
+            let update_start = Instant::now();
+            let stats = {
+                let _span = xrlflow_obs::span!("rollout/update");
+                update_parallel(
+                    &mut self.trainer,
+                    agent,
+                    &mut rollouts.buffer,
+                    &rollouts.spec_ranges,
+                    num_workers,
+                )?
+            };
+            report.updates.push(stats);
+            report.timings.push(UpdateTiming {
+                collect_ms,
+                sim_ms: sim_after_ns.saturating_sub(sim_before_ns) as f64 / 1e6,
+                candidate_gen_ms: candgen_after_ns.saturating_sub(candgen_before_ns) as f64 / 1e6,
+                update_ms: update_start.elapsed().as_secs_f64() * 1e3,
+                update_workers: num_workers,
+            });
+            next_episode += batch;
+            rounds += 1;
+            if let Some(checkpoint) = &self.checkpointing {
+                if rounds.is_multiple_of(checkpoint.every.max(1)) || next_episode >= episodes_per_spec {
+                    write_train_state(&self.trainer, agent, next_episode as u64, self.base_seed, checkpoint)?;
+                }
+            }
         }
         report.per_model = curriculum
             .entries()
@@ -765,24 +467,6 @@ impl ParallelTrainer {
             .collect();
         Ok(report)
     }
-}
-
-/// One collection round handed to the shared PPO loop: the merged buffer,
-/// every episode's `(spec, stats)` in merge order, and the per-spec
-/// normalisation segments (empty = global normalisation).
-struct Round {
-    buffer: RolloutBuffer<Observation>,
-    episodes: Vec<(usize, EpisodeStats)>,
-    segments: Vec<std::ops::Range<usize>>,
-}
-
-/// Checkpoint/resume context of one [`run_rounds`] invocation: where the
-/// episode schedule starts (non-zero after a resume), the base seed recorded
-/// into checkpoints, and the optional durable-checkpoint policy.
-struct RoundLoop<'a> {
-    start_episode: usize,
-    base_seed: u64,
-    checkpoint: Option<&'a CheckpointConfig>,
 }
 
 /// Writes one durable [`TrainState`] checkpoint (atomically — crash-safe by
@@ -802,78 +486,20 @@ fn write_train_state(
     Ok(())
 }
 
-/// The PPO round loop shared by [`ParallelTrainer::train`] and
-/// [`ParallelTrainer::train_curriculum`]: size each batch by the update
-/// frequency, collect it through `collect` (which owns the snapshot
-/// broadcast), drive one update over the merged buffer with the round's
-/// segments through [`update_parallel`] (bit-identical to the serial path at
-/// every worker count), record the wall-clock collect/update split with the
-/// update's worker count, and — when a checkpoint policy is installed —
-/// write a durable [`TrainState`] every `every`-th round and after the final
-/// one. Returns the report plus each episode's spec tag, aligned with
-/// `report.episodes`.
-fn run_rounds(
-    trainer: &mut Trainer,
-    agent: &mut XrlflowAgent,
-    episodes: usize,
-    num_workers: usize,
-    loop_ctx: RoundLoop<'_>,
-    mut collect: impl FnMut(&XrlflowAgent, u64, usize) -> Result<Round, RolloutError>,
-) -> Result<(TrainReport, Vec<usize>), RolloutError> {
-    let mut report = TrainReport::default();
-    let mut spec_tags = Vec::new();
-    let num_workers = num_workers.max(1);
-    let frequency = trainer.config().ppo.update_frequency.max(1);
-    let mut next_episode = loop_ctx.start_episode.min(episodes);
-    let mut rounds = 0usize;
-    while next_episode < episodes {
-        let batch = frequency.min(episodes - next_episode);
-        let (sim_before_ns, candgen_before_ns) = collect_phase_breakdown_ns();
-        let collect_start = Instant::now();
-        let mut round = {
-            let _span = xrlflow_obs::span!("rollout/collect");
-            collect(agent, next_episode as u64, batch)?
-        };
-        let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
-        let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();
-        xrlflow_obs::counter!("rollout/episodes").add(round.episodes.len() as u64);
-        for (spec, stats) in round.episodes {
-            spec_tags.push(spec);
-            report.episodes.push(stats);
-        }
-        let update_start = Instant::now();
-        let stats = {
-            let _span = xrlflow_obs::span!("rollout/update");
-            update_parallel(trainer, agent, &mut round.buffer, &round.segments, num_workers)?
-        };
-        report.updates.push(stats);
-        let update_ms = update_start.elapsed().as_secs_f64() * 1e3;
-        report.timings.push(UpdateTiming {
-            collect_ms,
-            sim_ms: sim_after_ns.saturating_sub(sim_before_ns) as f64 / 1e6,
-            candidate_gen_ms: candgen_after_ns.saturating_sub(candgen_before_ns) as f64 / 1e6,
-            update_ms,
-            update_workers: num_workers,
-        });
-        next_episode += batch;
-        rounds += 1;
-        if let Some(checkpoint) = loop_ctx.checkpoint {
-            if rounds.is_multiple_of(checkpoint.every.max(1)) || next_episode >= episodes {
-                write_train_state(trainer, agent, next_episode as u64, loop_ctx.base_seed, checkpoint)?;
-            }
-        }
-    }
-    Ok((report, spec_tags))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xrlflow_env::Observation;
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+    use xrlflow_rl::RolloutBuffer;
 
     fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone())
+    }
+
+    fn single(spec: &EnvSpec) -> Curriculum {
+        Curriculum::new().with_entry("SqueezeNet", spec.clone())
     }
 
     fn assert_transitions_identical(
@@ -913,16 +539,25 @@ mod tests {
         let episodes = 4;
         let base_seed = 99;
 
-        let serial = collect_serial(&agent, &spec, 0, episodes, base_seed);
+        let serial = collect_curriculum_serial(&agent, &single(&spec), 0, episodes, base_seed);
         assert_eq!(serial.episodes.len(), episodes);
 
         for workers in [1usize, 2, 4] {
-            let parallel =
-                collect_parallel(&config, &snapshot, &spec, 0, episodes, base_seed, workers).unwrap();
+            let parallel = collect_curriculum_parallel(
+                &config,
+                &snapshot,
+                &single(&spec),
+                0,
+                episodes,
+                base_seed,
+                workers,
+            )
+            .unwrap();
             let label = format!("{workers} workers");
             assert_transitions_identical(&serial.buffer, &parallel.buffer, &label);
             assert_eq!(serial.episodes.len(), parallel.episodes.len(), "{label}: episode counts differ");
             for (ea, eb) in serial.episodes.iter().zip(&parallel.episodes) {
+                let (ea, eb) = (&ea.stats, &eb.stats);
                 assert_eq!(ea.total_reward.to_bits(), eb.total_reward.to_bits(), "{label}: reward differs");
                 assert_eq!(ea.steps, eb.steps, "{label}: step counts differ");
                 assert_eq!(ea.applied_rules, eb.applied_rules, "{label}: applied rules differ");
@@ -945,8 +580,10 @@ mod tests {
         let agent = XrlflowAgent::new(&config, 5);
         let episodes = 3;
 
-        let serial = collect_serial(&agent, &spec, 0, episodes, 42);
-        let parallel = collect_parallel(&config, &agent.snapshot(), &spec, 0, episodes, 42, 2).unwrap();
+        let serial = collect_curriculum_serial(&agent, &single(&spec), 0, episodes, 42);
+        let parallel =
+            collect_curriculum_parallel(&config, &agent.snapshot(), &single(&spec), 0, episodes, 42, 2)
+                .unwrap();
 
         let mut stats = Vec::new();
         for rollouts in [serial, parallel] {
@@ -997,7 +634,8 @@ mod tests {
         let spec = smoke_spec(&config);
         let agent = XrlflowAgent::new(&config, 1);
         // More workers than episodes must not spawn idle threads or panic.
-        let rollouts = collect_parallel(&config, &agent.snapshot(), &spec, 0, 2, 0, 16).unwrap();
+        let rollouts =
+            collect_curriculum_parallel(&config, &agent.snapshot(), &single(&spec), 0, 2, 0, 16).unwrap();
         assert_eq!(rollouts.episodes.len(), 2);
     }
 
@@ -1008,13 +646,13 @@ mod tests {
         let mut wider = config.clone();
         wider.encoder.hidden_dim *= 2;
         let snapshot = XrlflowAgent::new(&wider, 0).snapshot();
-        assert!(collect_parallel(&config, &snapshot, &spec, 0, 2, 0, 2).is_err());
+        assert!(collect_curriculum_parallel(&config, &snapshot, &single(&spec), 0, 2, 0, 2).is_err());
     }
 
     #[test]
     fn episode_rng_seeds_are_stable_and_distinct() {
-        assert_eq!(episode_rng_seed(7, 3), episode_rng_seed(7, 3));
-        let seeds: std::collections::HashSet<u64> = (0..64).map(|e| episode_rng_seed(123, e)).collect();
+        assert_eq!(curriculum_rng_seed(7, 0, 3), curriculum_rng_seed(7, 0, 3));
+        let seeds: std::collections::HashSet<u64> = (0..64).map(|e| curriculum_rng_seed(123, 0, e)).collect();
         assert_eq!(seeds.len(), 64, "adjacent episodes must get decorrelated RNG seeds");
     }
 }

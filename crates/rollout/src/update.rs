@@ -13,12 +13,13 @@
 //!
 //! * **Snapshot-per-minibatch broadcast.** The optimiser steps between
 //!   minibatches, so each call to [`minibatch_grads_parallel`] captures a
-//!   fresh [`ParamSnapshot`] of the live agent; every worker builds a
+//!   fresh `ParamSnapshot` of the live agent; every worker builds a
 //!   read-only replica from it. Workers never touch the live `ParamStore` or
 //!   share a `Tape`.
-//! * **Position-based sharding.** Minibatch positions round-robin across
-//!   workers (`position % W`, via `xrlflow_rl::shard_minibatch`) — a pure
-//!   function of the batch and the worker count, never of timing.
+//! * **Position-based sharding.** Minibatch positions are the work items of
+//!   the crate's one supervised pool and round-robin across workers
+//!   (`position % W`) — a pure function of the batch and the worker count,
+//!   never of timing.
 //! * **Index-ordered merge.** Workers hand back one zero-initialised
 //!   [`GradBuffer`](xrlflow_tensor::GradBuffer) per transition; the trainer
 //!   thread merges them **by minibatch position**, never completion order,
@@ -28,83 +29,43 @@
 //! Together these make the parallel update at any worker count bit-identical
 //! (f32 bit equality of post-update parameters and `TrainingStats`) to the
 //! retained serial oracle `minibatch_grads_serial` — differential-tested
-//! below, same spirit as `collect_serial` / `policy_logits_serial`.
+//! below, same spirit as `collect_curriculum_serial` /
+//! `policy_logits_serial`.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
-use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
+use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{
-    transition_grad_into, MinibatchContext, MinibatchGrads, Trainer, TransitionLossStats, XrlflowAgent,
-    XrlflowConfig,
+    transition_grad_into, MinibatchContext, MinibatchGrads, Trainer, XrlflowAgent, XrlflowConfig,
 };
 use xrlflow_env::Observation;
-use xrlflow_rl::{shard_minibatch, RolloutBuffer, TrainingStats};
-use xrlflow_tensor::{GradBuffer, SnapshotError, Tape};
+use xrlflow_rl::{RolloutBuffer, TrainingStats};
+use xrlflow_tensor::{GradBuffer, Tape};
 
-use crate::{retry_budget, ItemFailure, RolloutError};
-
-/// Runs one supervised update work item: trips the fault-injection hook
-/// (item id = minibatch position), then back-propagates transition
-/// `ctx.batch[position]` into a fresh zero-initialised [`GradBuffer`] under
-/// `catch_unwind` so a panic becomes a queueable [`ItemFailure`] instead of
-/// tearing down the pool. The caller must replace `tape` after a failure (a
-/// panic leaves the arena's contents unspecified).
-fn run_update_item(
-    agent: &XrlflowAgent,
-    ctx: &MinibatchContext,
-    position: usize,
-    index: usize,
-    inv: f32,
-    tape: &mut Tape,
-    attempt: u32,
-) -> Result<(usize, GradBuffer, TransitionLossStats), ItemFailure> {
-    catch_unwind(AssertUnwindSafe(|| {
-        fault::trip(FaultPhase::Update, position as u64, attempt);
-        let mut grads = GradBuffer::zeros_like(&agent.store);
-        let stats = transition_grad_into(
-            agent,
-            &ctx.transitions[index],
-            ctx.advantages[index],
-            ctx.returns[index],
-            &ctx.ppo,
-            inv,
-            tape,
-            &mut grads,
-        );
-        (position, grads, stats)
-    }))
-    .map_err(|payload| {
-        xrlflow_obs::counter!("rollout/worker_panics").inc();
-        ItemFailure { item: position as u64, payload: fault::panic_payload_text(payload.as_ref()) }
-    })
-}
+use crate::supervised::supervised_map;
+use crate::RolloutError;
 
 /// Evaluates one minibatch's per-transition gradients on a supervised pool
 /// of `num_workers` threads and merges them in minibatch-position order.
 ///
-/// Captures one [`xrlflow_tensor::ParamSnapshot`] of `agent` (the update
-/// analogue of the collection engine's per-round broadcast — here the
-/// optimiser steps between minibatches, so the snapshot must be
-/// per-minibatch); each worker builds a private replica, walks its
-/// round-robin position shard through `xrlflow_core::transition_grad`, and
-/// returns `(position, GradBuffer, stats)` triples. The merge sorts by
-/// position, so the output is bit-identical to
-/// [`xrlflow_core::minibatch_grads_serial`] over the same context, for any
-/// worker count. With one effective worker the same supervised loop runs
-/// serially against the live agent — no snapshot, no replica, no spawn.
-///
-/// The pool is fault-tolerant: each transition runs under `catch_unwind`, a
-/// panicking item is retried on the calling thread against the live agent —
-/// whose parameters are exactly what the snapshot broadcast, so a retried
-/// gradient is bit-identical — and a worker panic never aborts the process.
+/// With more than one worker, captures one
+/// [`xrlflow_tensor::ParamSnapshot`] of `agent` (the update analogue of the
+/// collection engine's per-round broadcast — here the optimiser steps
+/// between minibatches, so the snapshot must be per-minibatch) and every
+/// thread builds a private replica from it; one worker evaluates against
+/// the live agent — no snapshot, no replica, no spawn. Each minibatch
+/// position is one work item of `supervised_map`: it back-propagates
+/// transition `ctx.batch[position]` via `xrlflow_core::transition_grad` into
+/// a fresh zero-initialised [`GradBuffer`] on the thread's recycled tape,
+/// and the buffers are merged by position, so the output is bit-identical
+/// to [`xrlflow_core::minibatch_grads_serial`] over the same context, for
+/// any worker count — including for items retried after a panic.
 ///
 /// # Errors
 ///
 /// * [`RolloutError::Snapshot`] when `agent` does not match the
 ///   architecture described by `config` (only detectable when a replica is
-///   built, i.e. with more than one effective worker).
+///   built, i.e. with more than one worker).
 /// * [`RolloutError::WorkerFault`] when a transition kept panicking past the
 ///   retry budget (`XRLFLOW_ROLLOUT_RETRIES`, default 2); the reported item
 ///   id is the minibatch position.
@@ -114,113 +75,40 @@ pub fn minibatch_grads_parallel(
     ctx: &MinibatchContext,
     num_workers: usize,
 ) -> Result<MinibatchGrads, RolloutError> {
-    let num_workers = num_workers.clamp(1, ctx.batch.len().max(1));
     let inv = 1.0 / ctx.batch.len() as f32;
+    // Broadcast: the parameters the optimiser has stepped to so far.
+    let snapshot = (num_workers > 1).then(|| agent.snapshot());
+    let positions: Vec<(u64, usize)> =
+        ctx.batch.iter().enumerate().map(|(position, &index)| (position as u64, index)).collect();
+    let per_position = supervised_map(
+        &positions,
+        num_workers,
+        FaultPhase::Update,
+        config.faults.as_deref(),
+        || {
+            let replica = snapshot.as_ref().map(|s| XrlflowAgent::from_snapshot(config, s)).transpose()?;
+            Ok((replica, Tape::new()))
+        },
+        |(replica, tape), &index| {
+            let agent = replica.as_ref().unwrap_or(agent);
+            let mut grads = GradBuffer::zeros_like(&agent.store);
+            let stats = transition_grad_into(
+                agent,
+                &ctx.transitions[index],
+                ctx.advantages[index],
+                ctx.returns[index],
+                &ctx.ppo,
+                inv,
+                tape,
+                &mut grads,
+            );
+            (grads, stats)
+        },
+    )?;
 
-    type WorkerOutput = Vec<(usize, GradBuffer, TransitionLossStats)>;
-    let mut per_position: WorkerOutput;
-    let failures: Vec<ItemFailure>;
-
-    if num_workers <= 1 {
-        // Degenerate pool: the supervised loop runs serially against the
-        // live agent — same fault semantics, no broadcast cost.
-        per_position = Vec::with_capacity(ctx.batch.len());
-        let mut failed = Vec::new();
-        let mut tape = Tape::new();
-        for (position, &index) in ctx.batch.iter().enumerate() {
-            match run_update_item(agent, ctx, position, index, inv, &mut tape, 0) {
-                Ok(item) => per_position.push(item),
-                Err(failure) => {
-                    tape = Tape::new();
-                    failed.push(failure);
-                }
-            }
-        }
-        failures = failed;
-    } else {
-        // Broadcast: the parameters the optimiser has stepped to so far.
-        let snapshot = agent.snapshot();
-        let shards = shard_minibatch(ctx.batch, num_workers);
-        let shared_failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-        per_position = std::thread::scope(|scope| -> Result<WorkerOutput, SnapshotError> {
-            let mut handles = Vec::with_capacity(num_workers);
-            for shard in &shards {
-                let snapshot = &snapshot;
-                let shared_failures = &shared_failures;
-                handles.push(scope.spawn(move || -> Result<WorkerOutput, SnapshotError> {
-                    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-                    // One recycled tape arena per worker for its whole shard;
-                    // the per-position buffers stay separate because the
-                    // trainer thread merges them by minibatch position.
-                    let mut tape = Tape::new();
-                    let mut out = Vec::with_capacity(shard.len());
-                    for &(position, index) in shard {
-                        match run_update_item(&replica, ctx, position, index, inv, &mut tape, 0) {
-                            Ok(item) => out.push(item),
-                            Err(failure) => {
-                                tape = Tape::new();
-                                shared_failures.lock().unwrap_or_else(PoisonError::into_inner).push(failure);
-                            }
-                        }
-                    }
-                    Ok(out)
-                }));
-            }
-            let mut merged = Vec::with_capacity(ctx.batch.len());
-            for handle in handles {
-                merged.extend(handle.join().expect("update worker panicked outside a work item")?);
-            }
-            Ok(merged)
-        })?;
-        failures = shared_failures.into_inner().unwrap_or_else(PoisonError::into_inner);
-    }
-
-    // Caller-thread retries, in position order, against the live agent — its
-    // parameters are exactly what the snapshot broadcast (the optimiser only
-    // steps between minibatches), so a retried item's gradient is
-    // bit-identical to a first-attempt success.
-    if !failures.is_empty() {
-        let mut failures = failures;
-        failures.sort_by_key(|f| f.item);
-        let budget = retry_budget();
-        let mut tape = Tape::new();
-        for failure in failures {
-            let position = failure.item as usize;
-            let index = ctx.batch[position];
-            let mut last = failure;
-            let mut attempt = 1u32;
-            loop {
-                if attempt > budget {
-                    return Err(WorkerFault {
-                        phase: FaultPhase::Update,
-                        item: last.item,
-                        attempts: attempt,
-                        payload: last.payload,
-                    }
-                    .into());
-                }
-                xrlflow_obs::counter!("rollout/item_retries").inc();
-                match run_update_item(agent, ctx, position, index, inv, &mut tape, attempt) {
-                    Ok(item) => {
-                        per_position.push(item);
-                        break;
-                    }
-                    Err(f) => {
-                        tape = Tape::new();
-                        last = f;
-                        attempt += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    // Merge is ordered by minibatch position, not completion order — the
-    // update half of the determinism contract.
-    per_position.sort_by_key(|(position, _, _)| *position);
     let mut grads = GradBuffer::zeros_like(&agent.store);
     let mut stats = Vec::with_capacity(per_position.len());
-    for (_, buffer, transition_stats) in &per_position {
+    for (buffer, transition_stats) in &per_position {
         grads.merge(buffer);
         stats.push(*transition_stats);
     }
@@ -272,14 +160,15 @@ pub fn update_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collect_curriculum_serial, collect_serial, Curriculum, EnvSpec};
+    use crate::{collect_curriculum_serial, Curriculum, EnvSpec};
     use xrlflow_cost::DeviceProfile;
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_rewrite::RuleSet;
 
-    fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {
+    fn smoke_spec(config: &XrlflowConfig) -> Curriculum {
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone())
+        let spec = EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone());
+        Curriculum::new().with_entry("SqueezeNet", spec)
     }
 
     /// Runs one update over a clone of `buffer` with fresh, identically
@@ -310,7 +199,7 @@ mod tests {
         let config = XrlflowConfig::smoke_test();
         let spec = smoke_spec(&config);
         let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_serial(&agent, &spec, 0, 3, 42);
+        let rollouts = collect_curriculum_serial(&agent, &spec, 0, 3, 42);
 
         let (serial_stats, serial_params) = run_update(&config, &rollouts.buffer, &[], None);
         for workers in [1usize, 2, 4] {
@@ -351,7 +240,7 @@ mod tests {
         let config = XrlflowConfig::smoke_test();
         let spec = smoke_spec(&config);
         let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_serial(&agent, &spec, 0, 2, 0);
+        let rollouts = collect_curriculum_serial(&agent, &spec, 0, 2, 0);
         // Far more workers than transitions per minibatch must not spawn
         // idle threads or panic, and must still match the oracle.
         let (serial_stats, serial_params) = run_update(&config, &rollouts.buffer, &[], None);
@@ -368,7 +257,7 @@ mod tests {
         let config = XrlflowConfig::smoke_test();
         let spec = smoke_spec(&config);
         let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_serial(&agent, &spec, 0, 2, 0);
+        let rollouts = collect_curriculum_serial(&agent, &spec, 0, 2, 0);
 
         let mut wider = config.clone();
         wider.encoder.hidden_dim *= 2;

@@ -1,19 +1,23 @@
-//! Fault-injection differential suites for the supervised worker pools.
+//! Fault-injection differential suites for the supervised worker pool.
 //!
-//! Every test serialises on the fault-plan install lock (fault-free
-//! baselines install an *empty* plan, which arms nothing but still takes the
-//! lock), so scheduled faults can never leak between concurrently running
-//! tests. The core claims under test:
+//! Every faulty run carries its own plan in `XrlflowConfig::faults`, so
+//! scheduled faults can never leak between concurrently running tests. The
+//! panic/retry counters are process-wide, though: tests that inject faults
+//! hold [`COUNTERS`] for reading and the test asserting exact counts holds
+//! it for writing, so no other test's panics land inside its window. The
+//! core claims under test:
 //!
-//! * a run with injected panics in any phase — collect, curriculum collect,
-//!   parallel update — retries deterministically and lands **bit-identical**
-//!   to a fault-free run, at 1, 2 and 4 workers;
+//! * a run with injected panics in any phase — single-model collect,
+//!   curriculum collect, parallel update — retries deterministically and
+//!   lands **bit-identical** to a fault-free run, at 1, 2 and 4 workers;
 //! * a work item that keeps panicking past the retry budget surfaces as the
 //!   typed `RolloutError::WorkerFault`, never a process abort;
 //! * every injected fault is counted (`rollout/worker_panics`,
 //!   `rollout/item_retries`).
 
-use xrlflow_core::fault::{pending_faults, FaultPhase, FaultPlan};
+use std::sync::{Arc, PoisonError, RwLock};
+
+use xrlflow_core::fault::{FaultPhase, FaultPlan};
 use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_env::Observation;
@@ -22,13 +26,25 @@ use xrlflow_graph::Graph;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
 use xrlflow_rollout::{
-    collect_curriculum_parallel, collect_curriculum_serial, collect_parallel, collect_serial,
-    curriculum_fault_item, update_parallel, Curriculum, EnvSpec, ParallelTrainer, RolloutError,
+    collect_curriculum_parallel, collect_curriculum_serial, curriculum_fault_item, update_parallel,
+    Curriculum, EnvSpec, ParallelTrainer, RolloutError,
 };
+
+/// Shared by fault-injecting tests, exclusive to the one counting panics.
+static COUNTERS: RwLock<()> = RwLock::new(());
 
 fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {
     let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
     EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone())
+}
+
+fn single(spec: &EnvSpec) -> Curriculum {
+    Curriculum::new().with_entry("SqueezeNet", spec.clone())
+}
+
+/// `config` carrying `plan` as its fault schedule.
+fn with_faults(config: &XrlflowConfig, plan: &Arc<FaultPlan>) -> XrlflowConfig {
+    XrlflowConfig { faults: Some(Arc::clone(plan)), ..config.clone() }
 }
 
 fn smoke_curriculum(config: &XrlflowConfig) -> Curriculum {
@@ -62,32 +78,40 @@ fn assert_buffers_identical(a: &RolloutBuffer<Observation>, b: &RolloutBuffer<Ob
 
 #[test]
 fn collect_faults_retry_bit_identically_at_1_2_4_workers() {
+    let _shared = COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let agent = XrlflowAgent::new(&config, 5);
     let snapshot = agent.snapshot();
 
-    let baseline = {
-        let _quiet = FaultPlan::new().install();
-        collect_serial(&agent, &spec, 0, 4, 99)
-    };
+    let baseline = collect_curriculum_serial(&agent, &single(&spec), 0, 4, 99);
 
     for workers in [1usize, 2, 4] {
         // Episode 1 fails once, episode 3 fails twice — both inside the
         // default retry budget of 2.
-        let guard = FaultPlan::new()
-            .panic_on(FaultPhase::Collect, 1, 0)
-            .panic_on(FaultPhase::Collect, 3, 0)
-            .panic_on(FaultPhase::Collect, 3, 1)
-            .install();
-        let collected = collect_parallel(&config, &snapshot, &spec, 0, 4, 99, workers).unwrap();
-        assert_eq!(pending_faults(), 0, "{workers} workers: every scheduled fault must fire");
-        drop(guard);
+        let plan = Arc::new(
+            FaultPlan::new()
+                .panic_on(FaultPhase::Collect, 1, 0)
+                .panic_on(FaultPhase::Collect, 3, 0)
+                .panic_on(FaultPhase::Collect, 3, 1),
+        );
+        let collected = collect_curriculum_parallel(
+            &with_faults(&config, &plan),
+            &snapshot,
+            &single(&spec),
+            0,
+            4,
+            99,
+            workers,
+        )
+        .unwrap();
+        assert_eq!(plan.pending(), 0, "{workers} workers: every scheduled fault must fire");
 
         let label = format!("{workers} workers under collect faults");
         assert_buffers_identical(&baseline.buffer, &collected.buffer, &label);
         assert_eq!(baseline.episodes.len(), collected.episodes.len(), "{label}: episode counts differ");
         for (ea, eb) in baseline.episodes.iter().zip(&collected.episodes) {
+            let (ea, eb) = (&ea.stats, &eb.stats);
             assert_eq!(ea.total_reward.to_bits(), eb.total_reward.to_bits(), "{label}: reward differs");
             assert_eq!(ea.applied_rules, eb.applied_rules, "{label}: applied rules differ");
         }
@@ -96,25 +120,33 @@ fn collect_faults_retry_bit_identically_at_1_2_4_workers() {
 
 #[test]
 fn curriculum_faults_retry_bit_identically_at_1_2_4_workers() {
+    let _shared = COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let curriculum = smoke_curriculum(&config);
     let agent = XrlflowAgent::new(&config, 5);
     let snapshot = agent.snapshot();
 
-    let baseline = {
-        let _quiet = FaultPlan::new().install();
-        collect_curriculum_serial(&agent, &curriculum, 0, 2, 99)
-    };
+    let baseline = collect_curriculum_serial(&agent, &curriculum, 0, 2, 99);
 
     for workers in [1usize, 2, 4] {
-        let guard = FaultPlan::new()
-            .panic_on(FaultPhase::CurriculumCollect, curriculum_fault_item(0, 1), 0)
-            .panic_on(FaultPhase::CurriculumCollect, curriculum_fault_item(1, 0), 0)
-            .install();
-        let collected =
-            collect_curriculum_parallel(&config, &snapshot, &curriculum, 0, 2, 99, workers).unwrap();
-        assert_eq!(pending_faults(), 0, "{workers} workers: every scheduled fault must fire");
-        drop(guard);
+        let plan = Arc::new(
+            FaultPlan::new().panic_on(FaultPhase::Collect, curriculum_fault_item(0, 1), 0).panic_on(
+                FaultPhase::Collect,
+                curriculum_fault_item(1, 0),
+                0,
+            ),
+        );
+        let collected = collect_curriculum_parallel(
+            &with_faults(&config, &plan),
+            &snapshot,
+            &curriculum,
+            0,
+            2,
+            99,
+            workers,
+        )
+        .unwrap();
+        assert_eq!(plan.pending(), 0, "{workers} workers: every scheduled fault must fire");
 
         let label = format!("{workers} workers under curriculum faults");
         assert_buffers_identical(&baseline.buffer, &collected.buffer, &label);
@@ -132,24 +164,21 @@ fn curriculum_faults_retry_bit_identically_at_1_2_4_workers() {
 
 #[test]
 fn update_faults_retry_bit_identically_at_1_2_4_workers() {
+    let _shared = COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let agent = XrlflowAgent::new(&config, 5);
-    let rollouts = {
-        let _quiet = FaultPlan::new().install();
-        collect_serial(&agent, &spec, 0, 3, 42)
-    };
+    let rollouts = collect_curriculum_serial(&agent, &single(&spec), 0, 3, 42);
     let probe = probe();
 
     // One update with fresh, identically seeded trainer + agent per run.
     let run_update = |workers: usize, plan: FaultPlan| {
-        let guard = plan.install();
-        let mut trainer = Trainer::new(config.clone(), 7);
+        let plan = Arc::new(plan);
+        let mut trainer = Trainer::new(with_faults(&config, &plan), 7);
         let mut update_agent = XrlflowAgent::new(&config, 5);
         let mut buffer = rollouts.buffer.clone();
         let stats = update_parallel(&mut trainer, &mut update_agent, &mut buffer, &[], workers).unwrap();
-        assert_eq!(pending_faults(), 0, "{workers} workers: every scheduled fault must fire");
-        drop(guard);
+        assert_eq!(plan.pending(), 0, "{workers} workers: every scheduled fault must fire");
         (stats, update_agent.embed_graph(&probe).data().to_vec())
     };
 
@@ -169,21 +198,22 @@ fn update_faults_retry_bit_identically_at_1_2_4_workers() {
 
 #[test]
 fn end_to_end_training_with_faults_in_every_phase_is_bit_identical() {
+    let _shared = COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let curriculum = smoke_curriculum(&config);
     let probe = probe();
 
-    let train_single = |workers: usize| {
-        let mut trainer = ParallelTrainer::new(config.clone(), 11);
+    let train_single = |workers: usize, plan: &Arc<FaultPlan>| {
+        let mut trainer = ParallelTrainer::new(with_faults(&config, plan), 11);
         trainer.set_num_workers(workers);
         trainer.set_checkpointing(None);
         let mut agent = XrlflowAgent::new(&config, 3);
         trainer.train(&mut agent, &spec, 4).unwrap();
         agent.embed_graph(&probe).data().to_vec()
     };
-    let train_multi = |workers: usize| {
-        let mut trainer = ParallelTrainer::new(config.clone(), 11);
+    let train_multi = |workers: usize, plan: &Arc<FaultPlan>| {
+        let mut trainer = ParallelTrainer::new(with_faults(&config, plan), 11);
         trainer.set_num_workers(workers);
         trainer.set_checkpointing(None);
         let mut agent = XrlflowAgent::new(&config, 3);
@@ -192,26 +222,27 @@ fn end_to_end_training_with_faults_in_every_phase_is_bit_identical() {
     };
 
     let (single_baseline, multi_baseline) = {
-        let _quiet = FaultPlan::new().install();
-        (train_single(2), train_multi(2))
+        let quiet = Arc::new(FaultPlan::new());
+        (train_single(2, &quiet), train_multi(2, &quiet))
     };
 
     for workers in [1usize, 2, 4] {
-        let guard =
-            FaultPlan::new().panic_on(FaultPhase::Collect, 1, 0).panic_on(FaultPhase::Update, 0, 0).install();
-        let params = train_single(workers);
-        assert_eq!(pending_faults(), 0, "{workers} workers: every scheduled fault must fire");
-        drop(guard);
+        let plan =
+            Arc::new(FaultPlan::new().panic_on(FaultPhase::Collect, 1, 0).panic_on(FaultPhase::Update, 0, 0));
+        let params = train_single(workers, &plan);
+        assert_eq!(plan.pending(), 0, "{workers} workers: every scheduled fault must fire");
         let bits_equal = single_baseline.iter().zip(&params).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(bits_equal, "{workers}-worker faulty single-model run diverges from fault-free run");
 
-        let guard = FaultPlan::new()
-            .panic_on(FaultPhase::CurriculumCollect, curriculum_fault_item(1, 1), 0)
-            .panic_on(FaultPhase::Update, 1, 0)
-            .install();
-        let params = train_multi(workers);
-        assert_eq!(pending_faults(), 0, "{workers} workers: every scheduled curriculum fault fires");
-        drop(guard);
+        let plan = Arc::new(
+            FaultPlan::new().panic_on(FaultPhase::Collect, curriculum_fault_item(1, 1), 0).panic_on(
+                FaultPhase::Update,
+                1,
+                0,
+            ),
+        );
+        let params = train_multi(workers, &plan);
+        assert_eq!(plan.pending(), 0, "{workers} workers: every scheduled curriculum fault fires");
         let bits_equal = multi_baseline.iter().zip(&params).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(bits_equal, "{workers}-worker faulty curriculum run diverges from fault-free run");
     }
@@ -219,16 +250,18 @@ fn end_to_end_training_with_faults_in_every_phase_is_bit_identical() {
 
 #[test]
 fn exhausted_retry_budget_is_a_typed_worker_fault() {
+    let _shared = COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let agent = XrlflowAgent::new(&config, 5);
     let snapshot = agent.snapshot();
 
     // Default budget is 2 retries → attempts 0, 1, 2 all panic → exhausted.
-    let guard = FaultPlan::new().exhaust_budget_on(FaultPhase::Collect, 2, 2).install();
-    let err = collect_parallel(&config, &snapshot, &spec, 0, 4, 99, 2).unwrap_err();
-    assert_eq!(pending_faults(), 0, "all scheduled attempts must have fired");
-    drop(guard);
+    let plan = Arc::new(FaultPlan::new().exhaust_budget_on(FaultPhase::Collect, 2, 2));
+    let err =
+        collect_curriculum_parallel(&with_faults(&config, &plan), &snapshot, &single(&spec), 0, 4, 99, 2)
+            .unwrap_err();
+    assert_eq!(plan.pending(), 0, "all scheduled attempts must have fired");
 
     match err {
         RolloutError::WorkerFault(fault) => {
@@ -247,16 +280,16 @@ fn exhausted_retry_budget_is_a_typed_worker_fault() {
 
 #[test]
 fn exhausted_budget_in_the_update_phase_stops_training_with_a_typed_error() {
+    let _shared = COUNTERS.read().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
 
-    let guard = FaultPlan::new().exhaust_budget_on(FaultPhase::Update, 0, 2).install();
-    let mut trainer = ParallelTrainer::new(config.clone(), 11);
+    let plan = Arc::new(FaultPlan::new().exhaust_budget_on(FaultPhase::Update, 0, 2));
+    let mut trainer = ParallelTrainer::new(with_faults(&config, &plan), 11);
     trainer.set_num_workers(2);
     trainer.set_checkpointing(None);
     let mut agent = XrlflowAgent::new(&config, 3);
     let err = trainer.train(&mut agent, &spec, 2).unwrap_err();
-    drop(guard);
 
     match err {
         RolloutError::WorkerFault(fault) => {
@@ -270,25 +303,27 @@ fn exhausted_budget_in_the_update_phase_stops_training_with_a_typed_error() {
 
 #[test]
 fn injected_faults_are_counted() {
+    let _exclusive = COUNTERS.write().unwrap_or_else(PoisonError::into_inner);
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let agent = XrlflowAgent::new(&config, 5);
     let snapshot = agent.snapshot();
 
     // Episode 0 fails twice (2 panics, 2 retries), episode 1 once (1 + 1).
-    let guard = FaultPlan::new()
-        .panic_on(FaultPhase::Collect, 0, 0)
-        .panic_on(FaultPhase::Collect, 0, 1)
-        .panic_on(FaultPhase::Collect, 1, 0)
-        .install();
+    let plan = Arc::new(
+        FaultPlan::new().panic_on(FaultPhase::Collect, 0, 0).panic_on(FaultPhase::Collect, 0, 1).panic_on(
+            FaultPhase::Collect,
+            1,
+            0,
+        ),
+    );
     xrlflow_obs::set_enabled(true);
     let panics_before = xrlflow_obs::counter!("rollout/worker_panics").get();
     let retries_before = xrlflow_obs::counter!("rollout/item_retries").get();
-    collect_parallel(&config, &snapshot, &spec, 0, 2, 7, 2).unwrap();
+    collect_curriculum_parallel(&with_faults(&config, &plan), &snapshot, &single(&spec), 0, 2, 7, 2).unwrap();
     let panics = xrlflow_obs::counter!("rollout/worker_panics").get() - panics_before;
     let retries = xrlflow_obs::counter!("rollout/item_retries").get() - retries_before;
     xrlflow_obs::set_enabled(false);
-    drop(guard);
 
     assert_eq!(panics, 3, "each caught panic increments rollout/worker_panics");
     assert_eq!(retries, 3, "each re-execution increments rollout/item_retries");

@@ -20,7 +20,7 @@ use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rollout::{EnvSpec, ParallelTrainer};
+use xrlflow_rollout::{Curriculum, EnvSpec, ParallelTrainer};
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
@@ -84,5 +84,30 @@ fn enabling_or_disabling_telemetry_changes_no_learned_bit() {
     assert!(
         bits_equal,
         "disabling telemetry changed the learned parameters — instrumentation is not bit-transparent"
+    );
+}
+
+#[test]
+fn worker_utilization_is_metered_at_one_worker() {
+    // The 1-worker pool runs in the calling thread without spawning, but it
+    // is still a pool: its busy time and wall-clock must be metered, so the
+    // gauge reads a real fraction rather than 0%.
+    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    assert!(xrlflow_obs::enabled(), "the registry must be active for this run");
+    let config = XrlflowConfig::smoke_test();
+    let curriculum = Curriculum::new().with_entry("SqueezeNet", smoke_spec(&config));
+    let mut agent = XrlflowAgent::new(&config, 5);
+    let mut trainer = ParallelTrainer::new(config, 7);
+    trainer.set_num_workers(1);
+
+    let wall_before = xrlflow_obs::counter!("rollout/worker_wall_ns").get();
+    trainer.train_curriculum(&mut agent, &curriculum, 2).unwrap();
+    let wall = xrlflow_obs::counter!("rollout/worker_wall_ns").get() - wall_before;
+
+    assert!(wall > 0, "a 1-worker round must meter its pool wall-clock");
+    let utilization = xrlflow_obs::gauge!("rollout/worker_utilization").get();
+    assert!(
+        utilization > 0.0 && utilization <= 1.0,
+        "1-worker utilization must lie in (0, 1], got {utilization}"
     );
 }

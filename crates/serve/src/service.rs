@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
-use xrlflow_core::fault;
+use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{greedy_optimize, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
@@ -340,9 +340,11 @@ impl OptimizeService {
         let _flight_guard = FlightGuard { service: self, key };
         let policy = self.current_policy();
         self.record_request(false, false);
-        // Fault-injection hook (inert unless a plan is installed): lets the
-        // suites kill a single-flight leader mid-episode deterministically.
-        fault::trip(fault::FaultPhase::Serve, key, 0);
+        // Fault-injection hook (inert unless the config carries a plan): lets
+        // the suites kill a single-flight leader mid-episode deterministically.
+        if let Some(plan) = &self.config.faults {
+            plan.trip(FaultPhase::Serve, key, 0);
+        }
         let mut env = Environment::from_shared(
             Arc::new(graph),
             Arc::clone(&self.rules),

@@ -323,16 +323,21 @@ fn a_panicking_leader_clears_its_flight_and_the_service_survives() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use xrlflow_core::fault::{FaultPhase, FaultPlan};
 
-    let service = service();
     let graph = zoo_graph();
     let key = graph.canonical_hash();
 
     // Kill the single-flight leader mid-episode via the deterministic
-    // fault hook (serve trips on the graph's canonical hash).
-    let guard = FaultPlan::new().panic_on(FaultPhase::Serve, key, 0).install();
+    // fault hook (serve trips on the graph's canonical hash). The plan
+    // rides on this service's own config, so no other test's service can
+    // trip it.
+    let plan = Arc::new(FaultPlan::new().panic_on(FaultPhase::Serve, key, 0));
+    let mut config = XrlflowConfig::smoke_test();
+    config.faults = Some(Arc::clone(&plan));
+    let snapshot = XrlflowAgent::new(&config, 7).snapshot();
+    let service = OptimizeService::from_snapshot(&config, &snapshot).unwrap();
     let result = catch_unwind(AssertUnwindSafe(|| service.optimize(&graph)));
     assert!(result.is_err(), "the injected fault must unwind the leader");
-    drop(guard);
+    assert_eq!(plan.pending(), 0);
 
     // The flight was cleared by the leader's guard and no lock was
     // poisoned: the retry runs a fresh episode and succeeds.
