@@ -1,4 +1,5 @@
-//! Micro-benchmarks for the GNN encoder: featurisation, the forward pass at
+//! Micro-benchmarks for the GNN encoder: featurisation (one graph, and the
+//! per-step current graph plus candidate deltas), the forward pass at
 //! different message-passing depths (the `k` ablation from DESIGN.md), and
 //! the headline per-step policy-evaluation comparison — the serial
 //! materialise-and-encode baseline against the batched + delta-aware path
@@ -55,6 +56,16 @@ fn main() {
         );
         let obs = env.reset(0);
         println!("-- {} ({} candidates)", kind.name(), obs.num_candidates());
+        // The featurisation half of the batched path: the current graph's
+        // features plus one lean delta per candidate.
+        let featurize_ns = time_ns(3, iters.max(50), || {
+            let current = GraphFeatures::from_graph(&obs.graph);
+            obs.candidates
+                .iter()
+                .map(|c| GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, c.patch()).num_nodes)
+                .sum::<usize>()
+        });
+        report(&format!("featurize/delta/{}", kind.name()), featurize_ns);
         let serial_ns = time_ns(1, iters, || agent.policy_logits_serial(&obs).1);
         let batched_ns = time_ns(1, iters, || agent.policy_logits_batched(&obs).1);
         report(&format!("policy_evaluation/serial/{}", kind.name()), serial_ns);

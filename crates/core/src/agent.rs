@@ -7,10 +7,13 @@
 //! space, and the value head estimates the state value from the current
 //! graph's embedding.
 //!
-//! Policy evaluation is **delta-aware and batched**: candidate features are
-//! derived from the current graph's features plus each candidate's patch
-//! ([`GraphFeatures::delta_from_base_and_patch`] — no candidate graph is
-//! ever materialised on the inference path), and the current graph plus all
+//! Policy evaluation is **delta-aware and batched**: each candidate's
+//! [`CandidateDelta`] is derived from the current graph's features plus the
+//! candidate's patch ([`GraphFeatures::delta_from_base_and_patch`] — no
+//! candidate graph is ever materialised on the inference path, and no dense
+//! per-candidate feature tensor is built: a delta carries the candidate's
+//! edge structure, its row map onto the current graph and the node-update
+//! inputs of the patch's own rows), and the current graph plus all
 //! `K` candidates run through the GAT stack in one batched pass
 //! ([`GnnEncoder::encode_candidates`]) that re-computes only each patch's
 //! dirty region per layer instead of `K + 1` serial full-graph tapes. The
@@ -118,8 +121,9 @@ impl XrlflowAgent {
     /// Builds the differentiable logits (one per valid action: candidates in
     /// order followed by No-Op) and the value estimate for an observation.
     ///
-    /// One batched evaluation: candidate features are derived delta-wise
-    /// from the current graph's features (no candidate is materialised), the
+    /// One batched evaluation: candidate deltas are derived from the current
+    /// graph's features (no candidate is materialised or densely
+    /// featurised), the
     /// current graph and all `K` candidates are encoded in one delta-aware
     /// batched pass, and the policy head scores every `[current ‖ candidate]`
     /// pair (plus the `[current ‖ current]` No-Op pair) in a single stacked

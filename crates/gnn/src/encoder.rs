@@ -245,20 +245,22 @@ impl GnnEncoder {
 
         // Node-update inputs for the unique rows: the current graph's rows
         // followed by every candidate's added rows (`[incoming ‖ one-hot]`,
-        // accumulated exactly like the serial scatter-add path).
-        let mut input_data: Vec<f32> = Vec::with_capacity((n + 8) * in_dim);
+        // accumulated exactly like the serial scatter-add path; the deltas
+        // carry theirs ready-made, in row order).
+        let added_len: usize = deltas.iter().map(|d| d.added_inputs.len()).sum();
+        let mut input_data: Vec<f32> = Vec::with_capacity(n * in_dim + added_len);
         for row in 0..n {
             current.push_node_input_row(row, &mut input_data);
         }
         let mut rows = n;
         for (k, delta) in deltas.iter().enumerate() {
-            for row in 0..delta.features.num_nodes {
+            for row in 0..delta.num_nodes {
                 if dirty[k][row] {
                     slots[k][row] = rows;
                     rows += 1;
-                    delta.features.push_node_input_row(row, &mut input_data);
                 }
             }
+            input_data.extend_from_slice(&delta.added_inputs);
         }
         let inputs = tape.constant(Tensor::from_vec(input_data, &[rows, in_dim]));
         let mut h = self.node_update.forward(tape, store, inputs);
@@ -288,8 +290,7 @@ impl GnnEncoder {
                 }
             }
             for (k, delta) in deltas.iter().enumerate() {
-                let f = &delta.features;
-                for (&src, &dst) in f.edge_src.iter().zip(&f.edge_dst) {
+                for (&src, &dst) in delta.edge_src.iter().zip(&delta.edge_dst) {
                     if dirty[k][src] {
                         next_dirty[k][dst] = true;
                     }
@@ -311,7 +312,6 @@ impl GnnEncoder {
             edge_dst_slots.clear();
             edge_dst_slots.extend_from_slice(&current.edge_dst);
             for (k, delta) in deltas.iter().enumerate() {
-                let f = &delta.features;
                 let row_of = |row: usize, dirty: &[bool], slots: &[usize]| -> usize {
                     if dirty[row] {
                         slots[row]
@@ -319,15 +319,15 @@ impl GnnEncoder {
                         delta.base_rows[row].expect("clean rows always mirror a base row")
                     }
                 };
-                for row in 0..f.num_nodes {
+                for row in 0..delta.num_nodes {
                     if !next_dirty[k][row] {
                         continue;
                     }
                     next_slots[k][row] = out_rows;
                     out_rows += 1;
                     let dst_row = row_of(row, &dirty[k], &slots[k]);
-                    for e in f.edge_offsets[row]..f.edge_offsets[row + 1] {
-                        edge_src_rows.push(row_of(f.edge_src[e], &dirty[k], &slots[k]));
+                    for e in delta.edge_offsets[row]..delta.edge_offsets[row + 1] {
+                        edge_src_rows.push(row_of(delta.edge_src[e], &dirty[k], &slots[k]));
                         edge_dst_rows.push(dst_row);
                         edge_dst_slots.push(next_slots[k][row]);
                     }
@@ -344,7 +344,7 @@ impl GnnEncoder {
         let mut gather: Vec<usize> = (0..n).collect();
         let mut segments: Vec<usize> = vec![0; n];
         for (k, delta) in deltas.iter().enumerate() {
-            for row in 0..delta.features.num_nodes {
+            for row in 0..delta.num_nodes {
                 gather.push(if dirty[k][row] {
                     slots[k][row]
                 } else {

@@ -8,14 +8,16 @@
 //!
 //! Two inference-path optimisations live here:
 //!
-//! * [`GraphFeatures::from_base_and_patch`] derives a rewrite candidate's
-//!   features *incrementally* from the base graph's features plus the
-//!   candidate's [`GraphPatch`] — no candidate graph is ever materialised.
+//! * [`GraphFeatures::delta_from_base_and_patch`] derives a rewrite
+//!   candidate's [`CandidateDelta`] from the base graph's features plus the
+//!   candidate's [`GraphPatch`] — no candidate graph is ever materialised,
+//!   and no dense per-candidate feature tensor is built: the delta holds the
+//!   candidate's edge structure, its row map onto the base graph and the
+//!   node-update inputs of the patch's own rows only, which is all
+//!   [`crate::GnnEncoder::encode_candidates`] reads.
 //! * [`GraphFeaturesBatch`] stacks many featurised graphs into one
 //!   block-diagonal batch so the encoder can embed the current graph and all
 //!   of its candidates in a single forward pass.
-
-use std::collections::{HashMap, HashSet};
 
 use xrlflow_graph::{Graph, GraphPatch, NodeId, OpKind, PatchRef, TensorRef, TensorShape};
 use xrlflow_tensor::Tensor;
@@ -38,14 +40,18 @@ pub struct GraphFeatures {
     pub num_nodes: usize,
     /// Start of each node row's contiguous edge block (its incoming dataflow
     /// edges in input order, then its self-loop); length `num_nodes + 1`.
-    /// Lets [`GraphFeatures::from_base_and_patch`] copy a node's edge
-    /// attributes without re-deriving them from shapes.
+    /// Lets a row's node-update input be summed in block order and lets the
+    /// delta-aware encoder re-plan one row's edges on its own.
     pub edge_offsets: Vec<usize>,
+    /// Row of each node id, indexed by `NodeId::index()` (`None` for ids with
+    /// no live node). [`GraphFeatures::delta_from_base_and_patch`] maps
+    /// surviving base nodes through it.
+    pub node_rows: Vec<Option<usize>>,
 }
 
 /// A node of a patched graph before materialisation: either a surviving base
 /// node or the `i`-th node added by the patch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PatchedNode {
     Base(NodeId),
     New(usize),
@@ -87,6 +93,12 @@ fn resolve_through_rewires(patch: &GraphPatch, mut r: PatchedTensor) -> PatchedT
     r
 }
 
+/// A tensor shape as a normalised edge attribute: padded to rank 4, divided
+/// by `M`.
+fn edge_attributes(shape: &TensorShape) -> [f32; 4] {
+    shape.padded4().map(|v| v / EDGE_NORMALISER)
+}
+
 impl GraphFeatures {
     /// Number of edges (including self-loops).
     pub fn num_edges(&self) -> usize {
@@ -104,10 +116,13 @@ impl GraphFeatures {
     /// that every node participates in message passing even when it has no
     /// incoming dataflow edge.
     pub fn from_graph(graph: &Graph) -> Self {
-        let ids: Vec<NodeId> = graph.iter().map(|(id, _)| id).collect();
-        let index_of =
-            |id: NodeId| -> usize { ids.binary_search(&id).expect("node id present in sorted id list") };
-        let num_nodes = ids.len();
+        let mut node_rows: Vec<Option<usize>> = Vec::new();
+        let mut num_nodes = 0usize;
+        for (id, _) in graph.iter() {
+            node_rows.resize(id.index(), None);
+            node_rows.push(Some(num_nodes));
+            num_nodes += 1;
+        }
         let feat_dim = OpKind::count();
         let mut node_features = Tensor::zeros(&[num_nodes, feat_dim]);
         let mut edge_src = Vec::new();
@@ -115,82 +130,78 @@ impl GraphFeatures {
         let mut edge_rows: Vec<[f32; 4]> = Vec::new();
         let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
 
-        for (row, &id) in ids.iter().enumerate() {
+        for (row, (_, node)) in graph.iter().enumerate() {
             edge_offsets.push(edge_rows.len());
-            let node = graph.node(id).expect("live node");
             node_features.set(&[row, node.op.index()], 1.0);
             // Dataflow edges: producer -> this node, attributed with the
             // producer tensor's shape.
             for input in &node.inputs {
                 if let Ok(shape) = graph.tensor_shape(*input) {
-                    edge_src.push(index_of(input.node));
+                    edge_src.push(node_rows[input.node.index()].expect("input node is live"));
                     edge_dst.push(row);
-                    edge_rows.push(shape.padded4());
+                    edge_rows.push(edge_attributes(shape));
                 }
             }
             // Self-loop with the node's own (first) output shape.
             if let Some(shape) = node.outputs.first() {
                 edge_src.push(row);
                 edge_dst.push(row);
-                edge_rows.push(shape.padded4());
+                edge_rows.push(edge_attributes(shape));
             }
         }
         edge_offsets.push(edge_rows.len());
 
-        let mut edge_features = Tensor::zeros(&[edge_rows.len(), 4]);
-        for (i, row) in edge_rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                edge_features.set(&[i, j], v / EDGE_NORMALISER);
-            }
-        }
-        Self { node_features, edge_features, edge_src, edge_dst, num_nodes, edge_offsets }
+        let edge_features = Tensor::from_vec(edge_rows.concat(), &[edge_rows.len(), 4]);
+        Self { node_features, edge_features, edge_src, edge_dst, num_nodes, edge_offsets, node_rows }
     }
 
-    /// Derives the features of the graph a [`GraphPatch`] produces, from the
-    /// *base* graph's features — without materialising the patched graph.
+    /// Derives what the delta-aware encoder needs of the graph a
+    /// [`GraphPatch`] produces, from the *base* graph's features — without
+    /// materialising the patched graph or building its dense features.
     ///
-    /// This is the delta-aware half of batched policy evaluation: every
-    /// rewrite candidate differs from the current graph by a handful of added
-    /// nodes and rewires, so its node one-hots and edge attributes are copied
-    /// from `base_features` (rewires preserve tensor shapes by construction,
-    /// so edge attributes never change) and only the patch's own nodes are
-    /// featurised from scratch. Dead-node elimination and rewire resolution
-    /// are replayed symbolically to reproduce the exact row/edge ordering of
-    /// [`GraphFeatures::from_graph`] on the materialised graph — the two are
-    /// bit-identical, which the per-rule differential tests assert.
+    /// Every rewrite candidate differs from the current graph by a handful of
+    /// added nodes and rewires: surviving base rows keep their one-hot and
+    /// edge attributes (rewires preserve tensor shapes by construction), so
+    /// only the patch's own rows get node-update inputs, and the rest of the
+    /// delta is structure. Dead-node elimination and rewire resolution are
+    /// replayed symbolically to reproduce the exact row/edge ordering of
+    /// [`GraphFeatures::from_graph`] on the materialised graph, which the
+    /// per-rule differential tests assert bit for bit.
     ///
     /// `base_features` must be `GraphFeatures::from_graph(base)`, and `patch`
     /// must have been built against `base`.
-    pub fn from_base_and_patch(base: &Graph, base_features: &GraphFeatures, patch: &GraphPatch) -> Self {
-        Self::delta_from_base_and_patch(base, base_features, patch).features
-    }
-
-    /// Like [`GraphFeatures::from_base_and_patch`], but also returns the
-    /// row-level delta bookkeeping ([`CandidateDelta`]) the delta-aware
-    /// encoder ([`crate::GnnEncoder::encode_candidates`]) uses to reuse
-    /// unchanged node computations across the candidate batch.
     pub fn delta_from_base_and_patch(
         base: &Graph,
         base_features: &GraphFeatures,
         patch: &GraphPatch,
     ) -> CandidateDelta {
-        let ids: Vec<NodeId> = base.iter().map(|(id, _)| id).collect();
-        debug_assert_eq!(ids.len(), base_features.num_nodes, "base_features must match the base graph");
-        let base_row_of =
-            |id: NodeId| -> usize { ids.binary_search(&id).expect("node id present in sorted id list") };
+        let base_row_of = &base_features.node_rows;
+        debug_assert_eq!(
+            base_row_of.iter().flatten().count(),
+            base.iter().count(),
+            "base_features must match the base graph"
+        );
         let added = patch.added_nodes();
+        // Patched nodes index dense tables: base ids first, added nodes after.
+        let id_bound = base_row_of.len();
+        let slot = |n: PatchedNode| -> usize {
+            match n {
+                PatchedNode::Base(id) => id.index(),
+                PatchedNode::New(i) => id_bound + i,
+            }
+        };
 
         // Replay dead-node elimination symbolically: the patched graph's
         // outputs are the base outputs with rewires applied, and a node is
         // live iff it is backwards-reachable from one of them.
-        let mut live: HashSet<PatchedNode> = HashSet::new();
+        let mut live = vec![false; id_bound + added.len()];
         let mut stack: Vec<PatchedNode> = base
             .outputs()
             .iter()
             .map(|&r| resolve_through_rewires(patch, PatchedTensor::Base(r)).node())
             .collect();
         while let Some(n) = stack.pop() {
-            if !live.insert(n) {
+            if std::mem::replace(&mut live[slot(n)], true) {
                 continue;
             }
             match n {
@@ -210,22 +221,51 @@ impl GraphFeatures {
 
         // Row order of the materialised graph: surviving base nodes keep
         // their ids (ascending), added nodes splice after all of them in
-        // patch order.
-        let mut rows: Vec<PatchedNode> = ids
-            .iter()
-            .filter(|&&id| live.contains(&PatchedNode::Base(id)))
-            .map(|&id| PatchedNode::Base(id))
-            .collect();
-        rows.extend((0..added.len()).filter(|&i| live.contains(&PatchedNode::New(i))).map(PatchedNode::New));
-        let row_of: HashMap<PatchedNode, usize> = rows.iter().enumerate().map(|(r, &n)| (n, r)).collect();
+        // patch order. Every resolved input of a live node is live, so edge
+        // sources below always find their row.
+        let mut row_of = vec![usize::MAX; live.len()];
+        let mut num_nodes = 0usize;
+        for (s, _) in live.iter().enumerate().filter(|(_, &l)| l) {
+            row_of[s] = num_nodes;
+            num_nodes += 1;
+        }
 
-        let num_nodes = rows.len();
-        let feat_dim = OpKind::count();
-        let mut node_features = Tensor::zeros(&[num_nodes, feat_dim]);
-        let mut edge_src = Vec::new();
-        let mut edge_dst = Vec::new();
-        let mut edge_rows: Vec<[f32; 4]> = Vec::new();
+        let mut edge_src = Vec::with_capacity(base_features.num_edges());
+        let mut edge_dst = Vec::with_capacity(base_features.num_edges());
         let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
+        let mut base_rows: Vec<Option<usize>> = Vec::with_capacity(num_nodes);
+        let mut changed_rows: Vec<usize> = Vec::new();
+        let mut added_inputs: Vec<f32> = Vec::new();
+
+        for (id, node) in base.iter().filter(|(id, _)| live[id.index()]) {
+            let row = base_rows.len();
+            edge_offsets.push(edge_src.len());
+            let base_row = base_row_of[id.index()].expect("live base node has a base row");
+            base_rows.push(Some(base_row));
+            // The node's edge block mirrors its base block (same attributes,
+            // same layout); only the source rows are re-resolved.
+            let mut rewired = false;
+            for input in &node.inputs {
+                if base.tensor_shape(*input).is_ok() {
+                    let resolved = resolve_through_rewires(patch, PatchedTensor::Base(*input));
+                    rewired |= resolved != PatchedTensor::Base(*input);
+                    edge_src.push(row_of[slot(resolved.node())]);
+                    edge_dst.push(row);
+                }
+            }
+            if !node.outputs.is_empty() {
+                edge_src.push(row);
+                edge_dst.push(row);
+            }
+            if rewired {
+                changed_rows.push(row);
+            }
+            debug_assert_eq!(
+                edge_src.len() - edge_offsets[row],
+                base_features.edge_offsets[base_row + 1] - base_features.edge_offsets[base_row],
+                "edge block length mismatch"
+            );
+        }
 
         // The shape of a patched tensor, for featurising added-node edges.
         let shape_of = |t: PatchedTensor| -> Option<&TensorShape> {
@@ -234,92 +274,40 @@ impl GraphFeatures {
                 PatchedTensor::New { node, port } => added.get(node).and_then(|n| n.outputs.get(port)),
             }
         };
-
-        let mut base_rows: Vec<Option<usize>> = Vec::with_capacity(num_nodes);
-        let mut changed_rows: Vec<usize> = Vec::new();
-        for (row, &n) in rows.iter().enumerate() {
-            edge_offsets.push(edge_rows.len());
-            match n {
-                PatchedNode::Base(id) => {
-                    let base_row = base_row_of(id);
-                    base_rows.push(Some(base_row));
-                    // One-hot row: copy from the base features.
-                    node_features.data_mut()[row * feat_dim..(row + 1) * feat_dim]
-                        .copy_from_slice(base_features.node_features.row(base_row));
-                    // Edge attributes: rewires preserve shapes, so the node's
-                    // whole edge block (dataflow edges + self-loop) is copied
-                    // verbatim; only the source indices are re-resolved.
-                    let node = base.node(id).expect("live base node");
-                    let block_start = base_features.edge_offsets[base_row];
-                    let block_end = base_features.edge_offsets[base_row + 1];
-                    let mut copied = 0usize;
-                    let mut rewired = false;
-                    for input in &node.inputs {
-                        if base.tensor_shape(*input).is_ok() {
-                            let resolved = resolve_through_rewires(patch, PatchedTensor::Base(*input));
-                            rewired |= resolved != PatchedTensor::Base(*input);
-                            edge_src.push(row_of[&resolved.node()]);
-                            edge_dst.push(row);
-                            copied += 1;
-                        }
-                    }
-                    if !node.outputs.is_empty() {
-                        edge_src.push(row);
-                        edge_dst.push(row);
-                        copied += 1;
-                    }
-                    if rewired {
-                        changed_rows.push(row);
-                    }
-                    debug_assert_eq!(copied, block_end - block_start, "edge block length mismatch");
-                    for e in block_start..block_end {
-                        let r = base_features.edge_features.row(e);
-                        edge_rows.push([r[0], r[1], r[2], r[3]]);
-                    }
+        let feat_dim = OpKind::count();
+        for (pn, _) in added.iter().zip(&live[id_bound..]).filter(|(_, &l)| l) {
+            let row = base_rows.len();
+            edge_offsets.push(edge_src.len());
+            base_rows.push(None);
+            changed_rows.push(row);
+            // The node-update input `[incoming ‖ one-hot]`, with incoming
+            // edge attributes summed in block order exactly as
+            // `push_node_input_row` sums a featurised row.
+            let mut incoming = [0.0f32; 4];
+            let mut add_edge = |src: usize, shape: &TensorShape| {
+                edge_src.push(src);
+                edge_dst.push(row);
+                for (acc, v) in incoming.iter_mut().zip(edge_attributes(shape)) {
+                    *acc += v;
                 }
-                PatchedNode::New(i) => {
-                    base_rows.push(None);
-                    changed_rows.push(row);
-                    let pn = &added[i];
-                    node_features.set(&[row, pn.op.index()], 1.0);
-                    for &input in &pn.inputs {
-                        let resolved = resolve_through_rewires(patch, PatchedTensor::from_patch_ref(input));
-                        if let Some(shape) = shape_of(resolved) {
-                            edge_src.push(row_of[&resolved.node()]);
-                            edge_dst.push(row);
-                            // Already normalised: the copied base rows carry
-                            // `padded4() / M`, so new rows must match.
-                            let p = shape.padded4();
-                            edge_rows.push([
-                                p[0] / EDGE_NORMALISER,
-                                p[1] / EDGE_NORMALISER,
-                                p[2] / EDGE_NORMALISER,
-                                p[3] / EDGE_NORMALISER,
-                            ]);
-                        }
-                    }
-                    if let Some(shape) = pn.outputs.first() {
-                        edge_src.push(row);
-                        edge_dst.push(row);
-                        let p = shape.padded4();
-                        edge_rows.push([
-                            p[0] / EDGE_NORMALISER,
-                            p[1] / EDGE_NORMALISER,
-                            p[2] / EDGE_NORMALISER,
-                            p[3] / EDGE_NORMALISER,
-                        ]);
-                    }
+            };
+            for &input in &pn.inputs {
+                let resolved = resolve_through_rewires(patch, PatchedTensor::from_patch_ref(input));
+                if let Some(shape) = shape_of(resolved) {
+                    add_edge(row_of[slot(resolved.node())], shape);
                 }
             }
+            if let Some(shape) = pn.outputs.first() {
+                add_edge(row, shape);
+            }
+            added_inputs.extend_from_slice(&incoming);
+            let one_hot = added_inputs.len();
+            added_inputs.resize(one_hot + feat_dim, 0.0);
+            added_inputs[one_hot + pn.op.index()] = 1.0;
         }
-        edge_offsets.push(edge_rows.len());
+        edge_offsets.push(edge_src.len());
 
-        let mut edge_features = Tensor::zeros(&[edge_rows.len(), 4]);
-        for (i, row) in edge_rows.iter().enumerate() {
-            edge_features.data_mut()[i * 4..(i + 1) * 4].copy_from_slice(row);
-        }
-        let features = Self { node_features, edge_features, edge_src, edge_dst, num_nodes, edge_offsets };
-        CandidateDelta { features, base_rows, changed_rows }
+        CandidateDelta { num_nodes, edge_src, edge_dst, edge_offsets, base_rows, changed_rows, added_inputs }
     }
 
     /// Sums a node row's incoming edge attributes (its contiguous edge block,
@@ -338,27 +326,39 @@ impl GraphFeatures {
     }
 }
 
-/// A rewrite candidate's features plus the row-level delta against the base
-/// graph, produced by [`GraphFeatures::delta_from_base_and_patch`].
+/// A rewrite candidate's structure plus the row-level delta against the base
+/// graph, produced by [`GraphFeatures::delta_from_base_and_patch`]: exactly
+/// what [`crate::GnnEncoder::encode_candidates`] reads, and no dense
+/// per-candidate feature tensor.
 ///
-/// `base_rows` certifies, per candidate row, which base row carries the
-/// *identical* local computation (same one-hot, same incoming edge
-/// attributes, same edge-block layout); `changed_rows` lists the rows whose
-/// incoming-edge identities differ from the base (rewired consumers and
-/// added nodes) — the seed of the dirty region that
-/// [`crate::GnnEncoder::encode_candidates`] re-computes per message-passing
-/// layer while reusing every other row from the base graph's encoding.
+/// `num_nodes`, `edge_src`, `edge_dst` and `edge_offsets` equal those of
+/// featurising the materialised candidate. `base_rows` certifies, per
+/// candidate row, which base row carries the *identical* local computation
+/// (same one-hot, same incoming edge attributes, same edge-block layout);
+/// `changed_rows` lists the rows whose incoming-edge identities differ from
+/// the base (rewired consumers and added nodes) — the seed of the dirty
+/// region the encoder re-computes per message-passing layer while reusing
+/// every other row from the base graph's encoding.
 #[derive(Debug, Clone)]
 pub struct CandidateDelta {
-    /// The candidate's full features (bit-identical to featurising the
-    /// materialised candidate).
-    pub features: GraphFeatures,
+    /// Number of nodes of the candidate graph.
+    pub num_nodes: usize,
+    /// Source row of each candidate edge.
+    pub edge_src: Vec<usize>,
+    /// Destination row of each candidate edge.
+    pub edge_dst: Vec<usize>,
+    /// Start of each candidate row's edge block; length `num_nodes + 1`.
+    pub edge_offsets: Vec<usize>,
     /// For each candidate row, the base row it mirrors (`None` for rows the
     /// patch added).
     pub base_rows: Vec<Option<usize>>,
     /// Candidate rows whose incoming edges differ from their base row's
     /// (rewired consumers plus all added rows), in ascending order.
     pub changed_rows: Vec<usize>,
+    /// Node-update inputs `[incoming ‖ one-hot]` (`OpKind::count() + 4`
+    /// values each) of the rows the patch added, in row order — bit-identical
+    /// to the materialised candidate's rows.
+    pub added_inputs: Vec<f32>,
 }
 
 /// Many featurised graphs stacked into one block-diagonal batch.
@@ -589,22 +589,57 @@ mod tests {
         g
     }
 
-    fn assert_features_identical(delta: &GraphFeatures, eager: &GraphFeatures, context: &str) {
+    /// Checks a lean candidate delta against featurising the materialised
+    /// candidate: identical structure, bit-identical node-update inputs for
+    /// every added row, and every mirrored row carrying its base row's
+    /// one-hot and edge-attribute block (the certification the encoder's
+    /// row reuse relies on).
+    fn assert_delta_matches(
+        delta: &CandidateDelta,
+        base: &GraphFeatures,
+        eager: &GraphFeatures,
+        context: &str,
+    ) {
         assert_eq!(delta.num_nodes, eager.num_nodes, "{context}: node count");
         assert_eq!(delta.edge_src, eager.edge_src, "{context}: edge sources");
         assert_eq!(delta.edge_dst, eager.edge_dst, "{context}: edge destinations");
         assert_eq!(delta.edge_offsets, eager.edge_offsets, "{context}: edge offsets");
-        // Bit-identical tensors, not approximately equal ones.
-        assert_eq!(delta.node_features, eager.node_features, "{context}: node features");
-        assert_eq!(delta.edge_features, eager.edge_features, "{context}: edge features");
+        assert_eq!(delta.base_rows.len(), eager.num_nodes, "{context}: row map length");
+        let width = OpKind::count() + 4;
+        let mut added = delta.added_inputs.chunks_exact(width);
+        for (row, mirror) in delta.base_rows.iter().enumerate() {
+            let block = |f: &GraphFeatures, r: usize| -> Vec<f32> {
+                (f.edge_offsets[r]..f.edge_offsets[r + 1])
+                    .flat_map(|e| f.edge_features.row(e).to_vec())
+                    .collect()
+            };
+            match *mirror {
+                Some(b) => {
+                    // Bit-identical values, not approximately equal ones.
+                    assert_eq!(
+                        eager.node_features.row(row),
+                        base.node_features.row(b),
+                        "{context}: row {row} one-hot"
+                    );
+                    assert_eq!(block(eager, row), block(base, b), "{context}: row {row} edge attributes");
+                }
+                None => {
+                    let mut expected = Vec::new();
+                    eager.push_node_input_row(row, &mut expected);
+                    assert_eq!(added.next(), Some(&expected[..]), "{context}: added row {row} input");
+                }
+            }
+        }
+        assert!(added.next().is_none(), "{context}: input rows left over for rows never added");
     }
 
     #[test]
     fn delta_features_match_materialised_features_for_every_rule() {
         // The per-rule differential property (mirroring the patch-vs-eager
         // test in xrlflow-rewrite): for every rule and application site on
-        // the evaluated workloads, featurising via base features + patch must
-        // be bit-identical to featurising the materialised candidate.
+        // the evaluated workloads, the delta derived from base features +
+        // patch must agree bit for bit with featurising the materialised
+        // candidate.
         let mut covered = std::collections::BTreeSet::new();
         let mut sites_checked = 0usize;
         let mut workloads: Vec<(String, Graph)> =
@@ -618,9 +653,9 @@ mod tests {
             for rule in standard_rules() {
                 for site in rule.find_matches(g) {
                     let Ok(patch) = rule.build_patch(g, &site) else { continue };
-                    let delta = GraphFeatures::from_base_and_patch(g, &base_features, &patch);
+                    let delta = GraphFeatures::delta_from_base_and_patch(g, &base_features, &patch);
                     let eager = GraphFeatures::from_graph(&g.apply_patch(&patch).unwrap());
-                    assert_features_identical(&delta, &eager, &format!("{name}/{}", rule.name()));
+                    assert_delta_matches(&delta, &base_features, &eager, &format!("{name}/{}", rule.name()));
                     covered.insert(rule.name());
                     sites_checked += 1;
                 }
@@ -647,12 +682,31 @@ mod tests {
                 break;
             }
             for (i, c) in candidates.iter().enumerate() {
-                let delta = GraphFeatures::from_base_and_patch(&g, &base_features, c.patch());
+                let delta = GraphFeatures::delta_from_base_and_patch(&g, &base_features, c.patch());
                 let eager = GraphFeatures::from_graph(&c.materialize(&g).unwrap());
-                assert_features_identical(&delta, &eager, &format!("step {step}, candidate {i}"));
+                assert_delta_matches(&delta, &base_features, &eager, &format!("step {step}, candidate {i}"));
             }
             let chosen = &candidates[step % candidates.len()];
             g = chosen.materialize(&g).unwrap();
+        }
+    }
+
+    #[test]
+    fn added_inputs_hold_one_row_per_added_live_node() {
+        // The lean delta stores node-update inputs for the patch's live rows
+        // only: added nodes are the materialised graph's ids past every base
+        // id, so count those independently of the delta's own row map.
+        let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
+        let base_features = GraphFeatures::from_graph(&g);
+        let max_base_id = g.iter().map(|(id, _)| id).max().unwrap();
+        let candidates = RuleSet::standard().generate_candidates(&g, 16);
+        assert!(!candidates.is_empty());
+        for c in &candidates {
+            let delta = GraphFeatures::delta_from_base_and_patch(&g, &base_features, c.patch());
+            let materialised = c.materialize(&g).unwrap();
+            let added_live = materialised.iter().filter(|(id, _)| *id > max_base_id).count();
+            assert_eq!(delta.added_inputs.len(), added_live * (OpKind::count() + 4), "{}", c.rule_name);
+            assert_eq!(delta.base_rows.iter().filter(|b| b.is_none()).count(), added_live, "{}", c.rule_name);
         }
     }
 

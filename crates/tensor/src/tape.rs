@@ -1357,21 +1357,21 @@ impl Tape {
                 Op::Constant => {}
                 Op::Param(pid) => sink(*pid, &grad),
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, a.0, &grad);
-                    accumulate(&mut grads, b.0, &grad);
+                    accumulate(&mut grads, a.0, grad.clone());
+                    accumulate(&mut grads, b.0, grad);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, a.0, &grad);
-                    accumulate(&mut grads, b.0, &grad.scale(-1.0));
+                    let gb = grad.scale(-1.0);
+                    accumulate(&mut grads, a.0, grad);
+                    accumulate(&mut grads, b.0, gb);
                 }
                 Op::Mul(a, b) => {
                     let ga = grad.mul(value_of(&self.nodes, *b));
                     let gb = grad.mul(value_of(&self.nodes, *a));
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    accumulate(&mut grads, a.0, ga);
+                    accumulate(&mut grads, b.0, gb);
                 }
                 Op::AddBias(a, bias) => {
-                    accumulate(&mut grads, a.0, &grad);
                     let bias_value = value_of(&self.nodes, *bias);
                     let cols = bias_value.numel();
                     let rows = grad.numel() / cols;
@@ -1381,7 +1381,8 @@ impl Tape {
                             gb.data_mut()[c] += grad.data()[r * cols + c];
                         }
                     }
-                    accumulate(&mut grads, bias.0, &gb);
+                    accumulate(&mut grads, a.0, grad);
+                    accumulate(&mut grads, bias.0, gb);
                 }
                 Op::AddBiasAct(a, bias, act) => {
                     // dz is the gradient at the pre-activation sum, derived
@@ -1402,12 +1403,12 @@ impl Tape {
                             gb.data_mut()[c] += dz.data()[r * cols + c];
                         }
                     }
-                    accumulate(&mut grads, a.0, &dz);
-                    accumulate(&mut grads, bias.0, &gb);
+                    accumulate(&mut grads, a.0, dz);
+                    accumulate(&mut grads, bias.0, gb);
                 }
-                Op::Scale(a, s) => accumulate(&mut grads, a.0, &grad.scale(*s)),
-                Op::AddScalar(a) => accumulate(&mut grads, a.0, &grad),
-                Op::Neg(a) => accumulate(&mut grads, a.0, &grad.scale(-1.0)),
+                Op::Scale(a, s) => accumulate(&mut grads, a.0, grad.scale(*s)),
+                Op::AddScalar(a) => accumulate(&mut grads, a.0, grad),
+                Op::Neg(a) => accumulate(&mut grads, a.0, grad.scale(-1.0)),
                 Op::MatMul(a, b) => {
                     let av = value_of(&self.nodes, *a);
                     let bv = value_of(&self.nodes, *b);
@@ -1416,49 +1417,49 @@ impl Tape {
                     // transposes, without building either transpose.
                     let ga = grad.matmul_transposed_rhs(bv);
                     let gb = av.matmul_transposed_lhs(&grad);
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    accumulate(&mut grads, a.0, ga);
+                    accumulate(&mut grads, b.0, gb);
                 }
                 Op::Relu(a) => {
                     let av = value_of(&self.nodes, *a);
                     let ga = grad.zip(av, |g, x| if x > 0.0 { g } else { 0.0 });
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::LeakyRelu(a, slope) => {
                     let av = value_of(&self.nodes, *a);
                     let s = *slope;
                     let ga = grad.zip(av, |g, x| if x > 0.0 { g } else { s * g });
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Tanh(a) => {
                     let yv = node.value.tensor();
                     let ga = grad.zip(yv, |g, y| g * (1.0 - y * y));
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Sigmoid(a) => {
                     let yv = node.value.tensor();
                     let ga = grad.zip(yv, |g, y| g * y * (1.0 - y));
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Exp(a) => {
                     let ga = grad.mul(node.value.tensor());
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Log(a) => {
                     let av = value_of(&self.nodes, *a);
                     let ga = grad.zip(av, |g, x| g / x.max(1e-12));
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::SumAll(a) => {
                     let g = grad.item();
                     let ga = Tensor::full(value_of(&self.nodes, *a).shape(), g);
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::MeanAll(a) => {
                     let n = value_of(&self.nodes, *a).numel().max(1) as f32;
                     let g = grad.item() / n;
                     let ga = Tensor::full(value_of(&self.nodes, *a).shape(), g);
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::SumRows(a) | Op::MeanRows(a) => {
                     let av = value_of(&self.nodes, *a);
@@ -1471,7 +1472,7 @@ impl Tape {
                             ga.data_mut()[r * cols + c] = grad.data()[c] * scale;
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::ConcatCols(a, b) => {
                     let av = value_of(&self.nodes, *a);
@@ -1488,8 +1489,8 @@ impl Tape {
                             gb.data_mut()[r * cb + c] = grad.data()[r * total + ca + c];
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    accumulate(&mut grads, a.0, ga);
+                    accumulate(&mut grads, b.0, gb);
                 }
                 Op::ConcatRows(parts) => {
                     let cols = node.value.tensor().cols();
@@ -1498,7 +1499,7 @@ impl Tape {
                         let rows = value_of(&self.nodes, p).rows();
                         let mut gp = Tensor::zeros(&[rows, cols]);
                         gp.data_mut().copy_from_slice(&grad.data()[offset * cols..(offset + rows) * cols]);
-                        accumulate(&mut grads, p.0, &gp);
+                        accumulate(&mut grads, p.0, gp);
                         offset += rows;
                     }
                 }
@@ -1511,7 +1512,7 @@ impl Tape {
                             ga.data_mut()[idx * cols + c] += grad.data()[i * cols + c];
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::ScatterAddRows(a, indices) => {
                     let av = value_of(&self.nodes, *a);
@@ -1522,7 +1523,7 @@ impl Tape {
                             ga.data_mut()[i * cols + c] = grad.data()[idx * cols + c];
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::SegmentMeanRows(a, segments, num_segments) => {
                     let av = value_of(&self.nodes, *a);
@@ -1538,7 +1539,7 @@ impl Tape {
                             ga.data_mut()[i * cols + c] = grad.data()[s * cols + c] * inv;
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Transpose(a) => {
                     let (r, c) = (grad.rows(), grad.cols());
@@ -1548,9 +1549,9 @@ impl Tape {
                         // running a strided copy (the policy head's
                         // `[K + 1, 1]` → `[1, K + 1]` logit transpose hits
                         // this on every transition evaluation).
-                        accumulate(&mut grads, a.0, &grad.into_reshape(&[c, r]));
+                        accumulate(&mut grads, a.0, grad.into_reshape(&[c, r]));
                     } else {
-                        accumulate(&mut grads, a.0, &grad.transpose());
+                        accumulate(&mut grads, a.0, grad.transpose());
                     }
                 }
                 Op::SegmentSoftmax(a, segments, num_segments) => {
@@ -1564,7 +1565,7 @@ impl Tape {
                     for (i, &s) in segments.iter().enumerate() {
                         ga.data_mut()[i] = y.data()[i] * (grad.data()[i] - seg_dot[s]);
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::BroadcastMulCol(col, mat) => {
                     let cv = value_of(&self.nodes, *col);
@@ -1580,8 +1581,8 @@ impl Tape {
                         }
                         gcol.data_mut()[r] = dot;
                     }
-                    accumulate(&mut grads, col.0, &gcol);
-                    accumulate(&mut grads, mat.0, &gmat);
+                    accumulate(&mut grads, col.0, gcol);
+                    accumulate(&mut grads, mat.0, gmat);
                 }
                 Op::LogSoftmaxRow(a) => {
                     // y = x - logsumexp(x); dx = g - softmax(x) * sum(g)
@@ -1595,19 +1596,19 @@ impl Tape {
                             .collect(),
                         y.shape(),
                     );
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Pick(a, index) => {
                     let av = value_of(&self.nodes, *a);
                     let mut ga = Tensor::zeros(av.shape());
                     ga.data_mut()[*index] = grad.item();
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Clamp(a, lo, hi) => {
                     let av = value_of(&self.nodes, *a);
                     let (lo, hi) = (*lo, *hi);
                     let ga = grad.zip(av, |g, x| if x > lo && x < hi { g } else { 0.0 });
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, a.0, ga);
                 }
                 Op::Minimum(a, b) => {
                     let av = value_of(&self.nodes, *a);
@@ -1621,8 +1622,8 @@ impl Tape {
                         av.shape(),
                     );
                     let gb = grad.sub(&ga);
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    accumulate(&mut grads, a.0, ga);
+                    accumulate(&mut grads, b.0, gb);
                 }
                 Op::Maximum(a, b) => {
                     let av = value_of(&self.nodes, *a);
@@ -1636,18 +1637,21 @@ impl Tape {
                         av.shape(),
                     );
                     let gb = grad.sub(&ga);
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    accumulate(&mut grads, a.0, ga);
+                    accumulate(&mut grads, b.0, gb);
                 }
             }
         }
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], idx: usize, grad: &Tensor) {
+/// Adds an op's freshly computed input gradient into its slot: an empty slot
+/// takes ownership, a filled one adds in place (the same per-element `a + b`
+/// as [`Tensor::add`], without allocating a result).
+fn accumulate(grads: &mut [Option<Tensor>], idx: usize, grad: Tensor) {
     match &mut grads[idx] {
-        Some(g) => *g = g.add(grad),
-        slot @ None => *slot = Some(grad.clone()),
+        Some(g) => g.add_assign(&grad),
+        slot @ None => *slot = Some(grad),
     }
 }
 
