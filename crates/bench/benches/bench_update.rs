@@ -9,6 +9,8 @@
 //! parameters — the only thing that varies is wall-clock time. The speedup
 //! is hardware-bound like the rollout engine's: expect ~1x on a single-core
 //! container and ~min(W, cores) on real multi-core machines.
+//! `update/speedup_2w_vs_1w/<model>` is the 2-worker scaling ratio on its
+//! own.
 //!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_UPDATE_EPISODES` (episodes collected into
@@ -69,6 +71,7 @@ fn main() {
             &format!("update/speedup_4w_vs_serial/{}", kind.name()),
             serial_ns / parallel_ns[parallel_ns.len() - 1],
         );
+        report_ratio(&format!("update/speedup_2w_vs_1w/{}", kind.name()), parallel_ns[0] / parallel_ns[1]);
         println!();
     }
 

@@ -18,9 +18,9 @@
 //!   base seed and the spec index, so two specs never share an action
 //!   stream. The seed depends only on `(base, s, e)`, never on which worker
 //!   runs the item.
-//! * **Spec-then-episode sharding and merge.** Work items are flattened in
+//! * **Spec-then-episode items and merge.** Work items are flattened in
 //!   spec-major order (`item = spec * episodes_per_spec + episode_offset`),
-//!   workers take items round-robin (`item % W`), and the merge is ordered
+//!   workers claim items largest spec graph first, and the merge is ordered
 //!   by item index — never completion order. Each spec's transitions are
 //!   therefore one contiguous segment of the merged buffer
 //!   ([`CurriculumRollouts::spec_ranges`]).
@@ -48,7 +48,7 @@ use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
 use xrlflow_tensor::{splitmix64, ParamSnapshot, XorShiftRng};
 
-use crate::supervised::supervised_map;
+use crate::supervised::{supervised_map, worker_slots};
 use crate::{EnvSpec, RolloutError};
 
 /// One named model of a curriculum: a display name (usually the model-zoo
@@ -237,7 +237,8 @@ pub fn collect_curriculum_serial(
 ///
 /// Each worker builds a read-only agent replica from `snapshot` and one
 /// environment per spec it touches (lazily, over the spec's shared `Arc`s),
-/// then round-robins over the item indices assigned to it (`item % W`).
+/// then claims items, largest spec graph (by node count) first, until none
+/// is left.
 /// Results are merged **by item index** (spec-then-episode), so the output
 /// is transition-for-transition bit-identical to
 /// [`collect_curriculum_serial`] over the same range and base seed, for any
@@ -271,11 +272,13 @@ pub fn collect_curriculum_parallel(
             episodes.clone().map(move |episode| (curriculum_fault_item(spec, episode), (spec, episode)))
         })
         .collect();
+    let node_counts: Vec<usize> = curriculum.entries().iter().map(|e| e.spec.graph.num_nodes()).collect();
     let collected = supervised_map(
         &items,
-        num_workers,
+        &mut worker_slots(num_workers),
         FaultPhase::Collect,
         config.faults.as_deref(),
+        |&(spec, _)| node_counts[spec],
         || {
             let envs: Vec<Option<Environment>> = curriculum.entries().iter().map(|_| None).collect();
             Ok((XrlflowAgent::from_snapshot(config, snapshot)?, envs))

@@ -12,14 +12,16 @@
 //! contributions on worker threads under the PR 3 rules:
 //!
 //! * **Snapshot-per-minibatch broadcast.** The optimiser steps between
-//!   minibatches, so each call to [`minibatch_grads_parallel`] captures a
-//!   fresh `ParamSnapshot` of the live agent; every worker builds a
-//!   read-only replica from it. Workers never touch the live `ParamStore` or
-//!   share a `Tape`.
-//! * **Position-based sharding.** Minibatch positions are the work items of
-//!   the crate's one supervised pool and round-robin across workers
-//!   (`position % W`) — a pure function of the batch and the worker count,
-//!   never of timing.
+//!   minibatches, so every minibatch captures a fresh `ParamSnapshot` of the
+//!   live agent. [`update_parallel`] keeps one read-only replica and one tape
+//!   arena per worker for the whole update and refreshes each live replica
+//!   in place from the snapshot (`ParamStore::load_snapshot`) before the
+//!   minibatch runs; the one-shot [`minibatch_grads_parallel`] builds them
+//!   fresh. Workers never touch the live `ParamStore` or share a `Tape`.
+//! * **Position-based items.** Minibatch positions are the work items of
+//!   the crate's one supervised pool; workers claim them largest
+//!   re-evaluation first (graph nodes × candidates). Which thread runs which
+//!   position depends on timing, but no gradient does.
 //! * **Index-ordered merge.** Workers hand back one zero-initialised
 //!   [`GradBuffer`](xrlflow_tensor::GradBuffer) per transition; the trainer
 //!   thread merges them **by minibatch position**, never completion order,
@@ -42,8 +44,12 @@ use xrlflow_env::Observation;
 use xrlflow_rl::{RolloutBuffer, TrainingStats};
 use xrlflow_tensor::{GradBuffer, Tape};
 
-use crate::supervised::supervised_map;
+use crate::supervised::{supervised_map, worker_slots};
 use crate::RolloutError;
+
+/// One update worker's state: its read-only replica (`None` at one worker,
+/// which evaluates against the live agent) and its recycled tape.
+type UpdateWorker = (Option<XrlflowAgent>, Tape);
 
 /// Evaluates one minibatch's per-transition gradients on a supervised pool
 /// of `num_workers` threads and merges them in minibatch-position order.
@@ -61,6 +67,9 @@ use crate::RolloutError;
 /// to [`xrlflow_core::minibatch_grads_serial`] over the same context, for
 /// any worker count — including for items retried after a panic.
 ///
+/// Every call starts from cold worker state; [`update_parallel`] keeps it
+/// warm across the minibatches of an update.
+///
 /// # Errors
 ///
 /// * [`RolloutError::Snapshot`] when `agent` does not match the
@@ -75,16 +84,42 @@ pub fn minibatch_grads_parallel(
     ctx: &MinibatchContext,
     num_workers: usize,
 ) -> Result<MinibatchGrads, RolloutError> {
+    minibatch_grads_warm(config, agent, ctx, &mut worker_slots(num_workers))
+}
+
+/// [`minibatch_grads_parallel`] over caller-owned worker slots, one per
+/// worker: live replicas are refreshed in place from this minibatch's
+/// snapshot, empty slots are built from it.
+fn minibatch_grads_warm(
+    config: &XrlflowConfig,
+    agent: &XrlflowAgent,
+    ctx: &MinibatchContext,
+    slots: &mut [Option<UpdateWorker>],
+) -> Result<MinibatchGrads, RolloutError> {
     let inv = 1.0 / ctx.batch.len() as f32;
     // Broadcast: the parameters the optimiser has stepped to so far.
-    let snapshot = (num_workers > 1).then(|| agent.snapshot());
+    let snapshot = (slots.len() > 1).then(|| agent.snapshot());
+    if let Some(snapshot) = &snapshot {
+        for (replica, tape) in slots.iter_mut().flatten() {
+            // Releasing the tape's parameter leaves lets the refresh write
+            // the replica's values in place.
+            tape.recycle();
+            if let Some(replica) = replica {
+                replica.store.load_snapshot(snapshot)?;
+            }
+        }
+    }
     let positions: Vec<(u64, usize)> =
         ctx.batch.iter().enumerate().map(|(position, &index)| (position as u64, index)).collect();
     let per_position = supervised_map(
         &positions,
-        num_workers,
+        slots,
         FaultPhase::Update,
         config.faults.as_deref(),
+        |&index| {
+            let observation = &ctx.transitions[index].observation;
+            observation.graph.num_nodes() * (observation.candidates.len() + 10)
+        },
         || {
             let replica = snapshot.as_ref().map(|s| XrlflowAgent::from_snapshot(config, s)).transpose()?;
             Ok((replica, Tape::new()))
@@ -117,7 +152,9 @@ pub fn minibatch_grads_parallel(
 
 /// One PPO update with every minibatch's transition re-evaluations sharded
 /// across `num_workers` threads: `Trainer::update_with_segments_via` driven
-/// by [`minibatch_grads_parallel`].
+/// by [`minibatch_grads_parallel`]'s evaluation, with each worker's replica
+/// and tape arena kept warm across the minibatches (replicas are refreshed
+/// in place from every minibatch's snapshot).
 ///
 /// The clip + optimiser step stay on the calling thread, and the result —
 /// post-update parameters, optimiser state and [`TrainingStats`] — is
@@ -143,13 +180,16 @@ pub fn update_parallel(
 ) -> Result<TrainingStats, RolloutError> {
     // Validate up front: the per-minibatch broadcasts inside the update
     // cannot be allowed to fail after the optimiser has started stepping.
+    // The validated replica becomes worker 0's.
+    let mut slots = worker_slots(num_workers);
     if num_workers > 1 {
-        XrlflowAgent::from_snapshot(trainer.config(), &agent.snapshot())?;
+        let replica = XrlflowAgent::from_snapshot(trainer.config(), &agent.snapshot())?;
+        slots[0] = Some((Some(replica), Tape::new()));
     }
     let config = trainer.config().clone();
     trainer
         .update_with_segments_via(agent, buffer, segments, &mut |agent, ctx| {
-            minibatch_grads_parallel(&config, agent, ctx, num_workers).map_err(|e| match e {
+            minibatch_grads_warm(&config, agent, ctx, &mut slots).map_err(|e| match e {
                 RolloutError::WorkerFault(fault) => fault,
                 other => unreachable!("agent architecture validated before the update: {other}"),
             })

@@ -314,7 +314,8 @@ impl ParamStore {
     /// The check is strict — same parameter count, same names in
     /// registration order, same shapes — and nothing is written when any
     /// entry mismatches, so a failed load leaves the store untouched.
-    /// Gradients and Adam state are left as they are.
+    /// Gradients and Adam state are left as they are. Values no tape still
+    /// shares are overwritten in place, without allocating.
     ///
     /// # Errors
     ///
@@ -342,7 +343,11 @@ impl ParamStore {
             }
         }
         for (own, (_, value)) in self.entries.iter_mut().zip(entries) {
-            own.value = Arc::new(value.clone());
+            // Overwrite in place unless a tape still shares the tensor.
+            match Arc::get_mut(&mut own.value) {
+                Some(tensor) => tensor.data_mut().copy_from_slice(value.data()),
+                None => own.value = Arc::new(value.clone()),
+            }
         }
         Ok(())
     }
